@@ -1,7 +1,7 @@
 //! Deterministic, structure-aware fuzzing of the workspace decoders.
 //!
 //! Every byte format the workspace accepts from disk or the network —
-//! v1 snapshot payloads, v2 section-table snapshots, deltas,
+//! v2 section-table snapshots (single KB and aligned pair), deltas,
 //! N-Triples, HTTP requests, JSON — has a fuzz target here. The
 //! harness is seed-reproducible: the same `--seed`/`--iters` replays
 //! the identical mutation stream (the RNG is the in-workspace
@@ -28,8 +28,8 @@ use rand::{RngCore, SeedableRng};
 
 /// Every fuzz target name, in CLI order.
 pub const TARGETS: &[&str] = &[
-    "snapshot",
     "snapshot-v2",
+    "pair-v2",
     "delta",
     "ntriples",
     "http",
@@ -66,23 +66,6 @@ pub struct FuzzReport {
 /// rejection (fine); a panic is the bug the harness exists to catch.
 pub fn decode(target: &str, bytes: &[u8]) -> Result<(), String> {
     match target {
-        "snapshot" => {
-            // Framed path (checksum gate) and the bare payload decoder
-            // (reaches the guts even when the frame checksum is stale).
-            let framed = paris_kb::snapshot::read_payload(&mut &bytes[..])
-                .map_err(|e| e.to_string())
-                .and_then(|(_, payload)| {
-                    let mut r = paris_kb::snapshot::PayloadReader::new(&payload);
-                    paris_kb::snapshot::decode_kb(&mut r)
-                        .map(drop)
-                        .map_err(|e| e.to_string())
-                });
-            let mut r = paris_kb::snapshot::PayloadReader::new(bytes);
-            let bare = paris_kb::snapshot::decode_kb(&mut r)
-                .map(drop)
-                .map_err(|e| e.to_string());
-            framed.or(bare)
-        }
         "snapshot-v2" => {
             let verified = paris_kb::SnapshotArena::from_bytes(bytes.to_vec())
                 .and_then(|arena| {
@@ -104,6 +87,13 @@ pub fn decode(target: &str, bytes: &[u8]) -> Result<(), String> {
                 .map_err(|e| e.to_string());
             verified.or(deferred)
         }
+        // The only pair decoder, and the one a replica feeds network
+        // bytes to. It always verifies checksums, so it is the
+        // checksum-fixup mutator that carries tampered data through to
+        // the alignment validator and the views.
+        "pair-v2" => paris_core::MappedPairSnapshot::from_bytes(bytes.to_vec())
+            .map(|pair| exercise_pair(&pair))
+            .map_err(|e| e.to_string()),
         "delta" => {
             let framed = paris_kb::snapshot::read_payload(&mut &bytes[..])
                 .map_err(|e| e.to_string())
@@ -176,13 +166,32 @@ fn exercise_view(arena: &paris_kb::SnapshotArena, layout: &paris_kb::KbLayout) {
     }
 }
 
+/// Walks a validated pair image the way the daemon and the delta path
+/// do: row folds from both sides, point lookups, the load-time scan,
+/// and the full hydration.
+fn exercise_pair(pair: &paris_core::MappedPairSnapshot) {
+    let alignment = pair.alignment();
+    for i in 0..pair.kb1().num_entities().min(64) as u32 {
+        let x = paris_kb::EntityId(i);
+        let _ = alignment.has_candidates(x);
+        if let Some((x2, _)) = alignment.best_match(x) {
+            let _ = alignment.prob(x, x2);
+        }
+    }
+    for i in 0..pair.kb2().num_entities().min(64) as u32 {
+        let _ = alignment.best_match_rev(paris_kb::EntityId(i));
+    }
+    let _ = alignment.aligned_instances(pair.kb1());
+    let _ = pair.hydrate();
+}
+
 /// Canonical valid inputs for `target` — the corpus the mutators start
 /// from, and the seed files `paris-audit corpus` checks in. Fully
 /// deterministic (no clocks, no RNG).
 pub fn seeds(target: &str) -> Vec<Vec<u8>> {
     match target {
-        "snapshot" => vec![paris_kb::snapshot::kb_to_bytes(&sample_kb())],
         "snapshot-v2" => vec![paris_kb::snapshot_v2::kb_to_bytes_v2(&sample_kb())],
+        "pair-v2" => vec![paris_core::MappedPairSnapshot::encode(&sample_pair())],
         "delta" => {
             let mut delta = paris_kb::KbDelta::new("sample");
             delta.add_fact("http://x/Elvis", "http://x/bornIn", "http://x/Tupelo");
@@ -226,6 +235,37 @@ fn sample_kb() -> paris_kb::Kb {
     b.build()
 }
 
+fn sample_pair() -> paris_core::AlignedPairSnapshot {
+    let side = |ns: &str, mail: &str| {
+        let mut b = paris_kb::KbBuilder::new(ns);
+        for i in 0..4 {
+            let person = format!("http://{ns}/p{i}");
+            b.add_literal_fact(
+                person.as_str(),
+                format!("http://{ns}/{mail}"),
+                paris_rdf::term::Literal::plain(format!("p{i}@x.org")),
+            );
+            b.add_fact(
+                person.as_str(),
+                format!("http://{ns}/livesIn"),
+                format!("http://{ns}/c{}", i % 2),
+            );
+            b.add_type(person.as_str(), format!("http://{ns}/Person"));
+        }
+        b.build()
+    };
+    let (kb1, kb2) = (side("a", "email"), side("b", "mail"));
+    let config = paris_core::ParisConfig::default().with_threads(1);
+    let mut alignment = paris_core::Aligner::new(&kb1, &kb2, config).run().detach();
+    // The per-iteration timings are the only wall-clock values an image
+    // stores; zeroed, the seed bytes are the same on every run.
+    for stats in &mut alignment.iterations {
+        stats.instance_seconds = 0.0;
+        stats.subrelation_seconds = 0.0;
+    }
+    paris_core::AlignedPairSnapshot::new(kb1, kb2, alignment)
+}
+
 /// Runs `iters` mutation iterations against `target`, starting from
 /// the built-in seeds plus `extra_corpus`. Deterministic for a given
 /// `(target, seed, iters, extra_corpus)`.
@@ -261,7 +301,8 @@ pub fn run(
     for iteration in 0..iters {
         let base_idx = (rng.next_u64() % corpus.len() as u64) as usize;
         let base = corpus.get(base_idx).cloned().unwrap_or_default();
-        let input = mutate(&mut rng, base, &corpus, target == "snapshot-v2");
+        let structured = matches!(target, "snapshot-v2" | "pair-v2");
+        let input = mutate(&mut rng, base, &corpus, structured);
         report.executions += 1;
         if let Some(message) = panics(target, &input) {
             let minimized = minimize(target, input, &mut report.executions);

@@ -24,7 +24,7 @@ COMMANDS:
     fuzz      Deterministically fuzz one decoder (or `all`). Crashing
               inputs are minimized and written into the corpus
               directory as crash-*.bin regressions. Nonzero exit on
-              any crash. Targets: snapshot, snapshot-v2, delta,
+              any crash. Targets: snapshot-v2, pair-v2, delta,
               ntriples, http, json.
     corpus    (Re)write the canonical seed inputs under DIR
               (default tests/corpus).

@@ -4,8 +4,8 @@
 //! Measures, on a generated `movies` pair:
 //!   1. the *cold* path a batch run pays every time — parse both
 //!      N-Triples files and run the full alignment;
-//!   2. the *snapshot* path `paris serve` pays once at startup — load
-//!      the aligned-pair snapshot.
+//!   2. the *snapshot* path `paris serve` pays once at startup — open
+//!      the aligned-pair snapshot in place.
 //!
 //! Prints the speedup and fails (exit 1) if the snapshot load is not at
 //! least 10× faster than re-parsing + re-aligning.
@@ -13,7 +13,9 @@
 use std::time::{Duration, Instant};
 
 use paris_bench::timing::fmt_duration;
-use paris_core::{AlignedPairSnapshot, Aligner, OwnedAlignment, ParisConfig};
+use paris_core::{
+    AlignedPairSnapshot, Aligner, MappedPairSnapshot, OwnedAlignment, PairImage, ParisConfig,
+};
 use paris_datagen::movies::{generate, MoviesConfig};
 use paris_kb::{export, kb_from_file};
 
@@ -63,8 +65,7 @@ fn main() {
         let result = Aligner::new(&kb1, &kb2, ParisConfig::default()).run();
         let owned = OwnedAlignment::from_result(&result);
         drop(result);
-        AlignedPairSnapshot::new(kb1, kb2, owned)
-            .save(&snap_path)
+        MappedPairSnapshot::save_v2(&AlignedPairSnapshot::new(kb1, kb2, owned), &snap_path)
             .expect("write snapshot");
     }
     let bytes = std::fs::metadata(&snap_path).map(|m| m.len()).unwrap_or(0);
@@ -74,8 +75,8 @@ fn main() {
     // milliseconds, so scheduler noise dominates a small sample — take
     // the min over more runs than the (much longer) cold path.
     let load = min_time(10, || {
-        let snap = AlignedPairSnapshot::load(&snap_path).expect("load snapshot");
-        std::hint::black_box(snap.alignment.num_instance_pairs());
+        let image = PairImage::load(&snap_path).expect("load snapshot");
+        std::hint::black_box(image.num_instance_pairs());
     });
     println!("snapshot load (min of 10):     {}", fmt_duration(load));
 

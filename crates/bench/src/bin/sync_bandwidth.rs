@@ -1,9 +1,9 @@
 //! Replication-bandwidth benchmark: the acceptance gate for the
 //! read-replica sync protocol's steady state.
 //!
-//! Starts a real primary (`paris-server` catalog over TCP) with one v1
-//! and one v2 movies pair, then drives a `paris-replica` sync engine
-//! against it and asserts the transfer accounting:
+//! Starts a real primary (`paris-server` catalog over TCP) with two
+//! movies pairs, then drives a `paris-replica` sync engine against it
+//! and asserts the transfer accounting:
 //!
 //!   1. the **first** sync downloads every pair (bytes transferred ==
 //!      the catalog's total file size);
@@ -51,12 +51,12 @@ fn main() {
     let mirror_dir = root.join("mirror");
     std::fs::create_dir_all(&primary_dir).expect("create primary dir");
 
-    println!("dataset: movies, scale {scale} (one v1 + one v2 pair)");
-    let v1_path = primary_dir.join("movies-v1.snap");
-    let v2_path = primary_dir.join("movies-v2.snap");
-    movies_snapshot(scale, 42).save(&v1_path).expect("save v1");
-    MappedPairSnapshot::save_v2(&movies_snapshot(scale, 43), &v2_path).expect("save v2");
-    let catalog_bytes = file_size(&v1_path) + file_size(&v2_path);
+    println!("dataset: movies, scale {scale} (two pairs)");
+    let a_path = primary_dir.join("movies-a.snap");
+    let b_path = primary_dir.join("movies-b.snap");
+    MappedPairSnapshot::save_v2(&movies_snapshot(scale, 42), &a_path).expect("save a");
+    MappedPairSnapshot::save_v2(&movies_snapshot(scale, 43), &b_path).expect("save b");
+    let catalog_bytes = file_size(&a_path) + file_size(&b_path);
     println!("catalog size: {catalog_bytes} bytes");
 
     let server = Server::bind_catalog(ServerConfig {
@@ -117,17 +117,15 @@ fn main() {
     }
 
     // Phase 3: change one pair; only its bytes move.
-    movies_snapshot(scale, 44)
-        .save(&v1_path)
-        .expect("update v1");
-    let updated_size = file_size(&v1_path);
+    MappedPairSnapshot::save_v2(&movies_snapshot(scale, 44), &a_path).expect("update a");
+    let updated_size = file_size(&a_path);
     let delta = engine.sync_once().expect("delta sync");
     println!(
         "after update:      {} updated, {} snapshot bytes (changed file: {updated_size})",
         delta.updated.len(),
         delta.snapshot_bytes,
     );
-    assert_eq!(delta.updated, vec!["movies-v1".to_owned()], "{delta:?}");
+    assert_eq!(delta.updated, vec!["movies-a".to_owned()], "{delta:?}");
     assert_eq!(delta.unchanged, 1, "{delta:?}");
     assert_eq!(
         delta.snapshot_bytes, updated_size,
@@ -135,7 +133,7 @@ fn main() {
     );
 
     // And the mirror really is byte-identical to the primary.
-    for name in ["movies-v1.snap", "movies-v2.snap"] {
+    for name in ["movies-a.snap", "movies-b.snap"] {
         let primary = std::fs::read(primary_dir.join(name)).expect("read primary");
         let mirror = std::fs::read(mirror_dir.join(name)).expect("read mirror");
         assert_eq!(primary, mirror, "{name} must be byte-identical");

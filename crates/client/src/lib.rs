@@ -215,7 +215,7 @@ pub struct Stats {
     pub generation: u64,
     /// Whether the producing run converged.
     pub converged: bool,
-    /// Snapshot format (`"v1"` / `"v2"`).
+    /// Snapshot format (`"v2"`).
     pub format: String,
 }
 

@@ -13,12 +13,13 @@
 //!
 //! # Binary format
 //!
-//! Deltas serialize through the same framing as snapshots
-//! ([`snapshot::write_file`](crate::snapshot::write_file), kind =
+//! Deltas serialize through the checksummed frame of
+//! [`snapshot::write_file`](crate::snapshot::write_file) (kind =
 //! [`SnapshotKind::Delta`]): the payload is the target KB name, then the
 //! added and removed fact lists, each fact a `(subject IRI, relation IRI,
-//! tagged object term)` triple using the exact term encoding of the KB
-//! body — see [`snapshot`](crate::snapshot) for the header layout.
+//! tagged object term)` triple in the tagged term encoding of
+//! [`snapshot::put_term`](crate::snapshot::put_term) — see
+//! [`snapshot`](crate::snapshot) for the header layout.
 //!
 //! # Scope
 //!
@@ -359,9 +360,8 @@ mod tests {
 
     #[test]
     fn delta_file_kind_is_checked() {
-        let kb = base_kb();
         let path = std::env::temp_dir().join("paris_delta_unit_kind.snap");
-        crate::snapshot::save_kb(&kb, &path).unwrap();
+        write_file(&path, SnapshotKind::Kb, b"").unwrap();
         let err = KbDelta::load(&path).unwrap_err();
         assert!(err.to_string().contains("expected a KB delta"), "{err}");
         std::fs::remove_file(&path).ok();

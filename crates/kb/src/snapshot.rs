@@ -1,19 +1,21 @@
-//! Versioned binary snapshots of knowledge bases.
+//! The framing shared by every PARIS binary file: magic, version, kind,
+//! checksummed payload, atomic replace.
 //!
 //! The paper's implementation kept its ontologies in Berkeley DB so a run
-//! could restart without re-ingesting the source files (§5.2). This is
-//! the modern equivalent: a compact, versioned, little-endian binary
-//! format that freezes an interned [`Kb`] — entity and literal tables,
-//! per-relation fact indexes, the closed taxonomy, and the pre-computed
-//! functionalities — so a serving process can come up in milliseconds
-//! instead of re-parsing N-Triples and re-running the aligner.
+//! could restart without re-ingesting the source files (§5.2). Here that
+//! job is done by the zero-copy section image of [`crate::snapshot_v2`];
+//! this module holds what that format and the delta format
+//! ([`crate::delta`]) have in common — the 12-byte magic + version prefix
+//! every file starts with, the little-endian payload primitives, the
+//! tagged term encoding, and the temp-file-then-rename writer — plus the
+//! one whole-payload frame deltas are stored in.
 //!
-//! # File layout
+//! # Delta frame layout
 //!
 //! ```text
 //! magic    [8]  b"PARISNAP"
-//! version  u32  format version (currently 1)
-//! kind     u8   1 = single KB, 2 = aligned pair
+//! version  u32  frame version (1)
+//! kind     u8   3 = KB delta (1 and 2 name the snapshot kinds of v2 images)
 //! reserved [3]  zero
 //! length   u64  payload byte count
 //! checksum u64  FNV-1a 64 of the payload
@@ -21,15 +23,18 @@
 //! ```
 //!
 //! Every integer is little-endian; strings are a u64 byte length followed
-//! by UTF-8; `f64`s are stored via `to_bits`. The payload of a `Kb`
-//! snapshot is produced by [`encode_kb`]; the aligned-pair payload is
-//! assembled by `paris-core` (it appends the alignment tables, which this
-//! crate knows nothing about) from the same primitives.
+//! by UTF-8; `f64`s are stored via `to_bits`.
 //!
 //! Readers validate the magic, version, length, and checksum before
 //! touching the payload, and every decode is bounds-checked — a
 //! truncated or bit-flipped file yields a [`SnapshotError`], never a
-//! panic or a silently wrong KB.
+//! panic or a silently wrong value.
+//!
+//! Snapshots were once stored in this frame too (format v1, a
+//! decode-on-load record stream). That body is retired: the snapshot
+//! readers refuse a version-1 file with
+//! [`SnapshotError::UnsupportedVersion`]`(1)`, whose message says to
+//! re-create it.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -37,24 +42,13 @@ use std::path::Path;
 
 use paris_rdf::term::{Iri, Literal, Term};
 
-use crate::fxhash::FxHashMap;
-use crate::ids::{EntityId, EntityKind, RelationId};
-use crate::store::Kb;
 use crate::wire;
 
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"PARISNAP";
 
-/// Format version of the decode-on-load snapshot framing in this module.
-pub const FORMAT_VERSION: u32 = 1;
-
-/// Every snapshot format version this build can read: v1 via the
-/// decoders here, v2 via the zero-copy arena in [`crate::snapshot_v2`].
-pub const SUPPORTED_SNAPSHOT_VERSIONS: [u32; 2] = [1, crate::snapshot_v2::FORMAT_VERSION_V2];
-
-/// Format version of the binary delta framing (deltas share this
-/// module's v1 framing with their own kind byte).
-pub const DELTA_FORMAT_VERSION: u32 = FORMAT_VERSION;
+/// Format version of the binary delta frame in this module.
+pub const DELTA_FORMAT_VERSION: u32 = 1;
 
 /// What a snapshot file contains.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,13 +126,16 @@ impl fmt::Display for SnapshotError {
         match self {
             SnapshotError::Io(e) => write!(f, "i/o error: {e}"),
             SnapshotError::BadMagic => write!(f, "not a PARIS snapshot (bad magic)"),
-            SnapshotError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported snapshot version {v} for this reader \
-                     (v1 is decoded on load, v2 is opened zero-copy via the arena)"
-                )
-            }
+            SnapshotError::UnsupportedVersion(1) => write!(
+                f,
+                "snapshot format v1 was retired: re-create the file with \
+                 `paris snapshot` or `paris ingest` (both write v2)"
+            ),
+            SnapshotError::UnsupportedVersion(v) => write!(
+                f,
+                "unsupported format version {v} for this reader \
+                 (snapshots are v2 section images, deltas are v1 frames)"
+            ),
             SnapshotError::ChecksumMismatch { expected, actual } => write!(
                 f,
                 "payload checksum mismatch (header {expected:#018x}, computed {actual:#018x})"
@@ -318,12 +315,12 @@ impl<'a> PayloadReader<'a> {
 
 const HEADER_LEN: usize = 8 + 4 + 1 + 3 + 8 + 8;
 
-/// Builds the 32-byte v1 frame header for a payload (the single source
-/// of the layout, shared by the streaming and atomic-file writers).
+/// Builds the 32-byte frame header for a payload (the single source of
+/// the layout, shared by the in-memory and atomic-file writers).
 pub(crate) fn frame_header(kind: SnapshotKind, payload: &[u8]) -> Vec<u8> {
     let mut header = Vec::with_capacity(HEADER_LEN);
     header.extend_from_slice(&MAGIC);
-    header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    header.extend_from_slice(&DELTA_FORMAT_VERSION.to_le_bytes());
     header.push(kind.to_byte());
     header.extend_from_slice(&[0u8; 3]);
     header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -331,18 +328,7 @@ pub(crate) fn frame_header(kind: SnapshotKind, payload: &[u8]) -> Vec<u8> {
     header
 }
 
-/// Frames a payload with the snapshot header and writes it to `w`.
-pub fn write_payload(
-    w: &mut impl Write,
-    kind: SnapshotKind,
-    payload: &[u8],
-) -> Result<(), SnapshotError> {
-    w.write_all(&frame_header(kind, payload))?;
-    w.write_all(payload)?;
-    Ok(())
-}
-
-/// Reads and fully validates a snapshot: magic, version, length, checksum.
+/// Reads and fully validates a framed file: magic, version, length, checksum.
 pub fn read_payload(r: &mut impl Read) -> Result<(SnapshotKind, Vec<u8>), SnapshotError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header).map_err(|e| {
@@ -356,7 +342,7 @@ pub fn read_payload(r: &mut impl Read) -> Result<(SnapshotKind, Vec<u8>), Snapsh
         return Err(SnapshotError::BadMagic);
     }
     let version = wire::le_u32(&header, 2);
-    if version != FORMAT_VERSION {
+    if version != DELTA_FORMAT_VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
     let kind_and_reserved = wire::le_u32(&header, 3).to_le_bytes();
@@ -364,7 +350,7 @@ pub fn read_payload(r: &mut impl Read) -> Result<(SnapshotKind, Vec<u8>), Snapsh
     let kind = SnapshotKind::from_byte(kind_byte)?;
     // The reserved bytes are always written as zero; validating them
     // means *every* header byte is covered by some check, so any
-    // single-byte corruption of a v1 file fails the load.
+    // single-byte corruption of a framed file fails the load.
     if reserved != [0, 0, 0] {
         return Err(SnapshotError::corrupt("nonzero reserved header bytes"));
     }
@@ -396,10 +382,10 @@ pub fn read_payload(r: &mut impl Read) -> Result<(SnapshotKind, Vec<u8>), Snapsh
 }
 
 /// Writes a file atomically (unique temp file + rename), from one or
-/// more byte chunks. Shared by the v1 framing below and the v2 section
-/// writer — both formats promise that readers never observe a
-/// half-written snapshot, and that an mmap of the old file stays valid
-/// (the rename replaces the directory entry, not the old inode).
+/// more byte chunks. Shared by the delta frame below and the v2 section
+/// writer — both promise that readers never observe a half-written
+/// file, and that an mmap of the old file stays valid (the rename
+/// replaces the directory entry, not the old inode).
 pub fn write_bytes_atomic(path: impl AsRef<Path>, chunks: &[&[u8]]) -> Result<(), SnapshotError> {
     use std::sync::atomic::{AtomicU64, Ordering};
     // Unique per process *and* per call, so concurrent writers targeting
@@ -425,7 +411,7 @@ pub fn write_bytes_atomic(path: impl AsRef<Path>, chunks: &[&[u8]]) -> Result<()
     })
 }
 
-/// Writes a framed v1 snapshot file (atomically).
+/// Writes a framed file (atomically).
 pub fn write_file(
     path: impl AsRef<Path>,
     kind: SnapshotKind,
@@ -434,8 +420,7 @@ pub fn write_file(
     write_bytes_atomic(path, &[&frame_header(kind, payload), payload])
 }
 
-/// Reads the magic and format version of a snapshot file without loading
-/// it — how callers dispatch between the v1 decoder and the v2 arena.
+/// Reads the magic and format version of a file without loading it.
 pub fn peek_version(path: impl AsRef<Path>) -> Result<u32, SnapshotError> {
     let mut f = std::fs::File::open(path)?;
     let mut head = [0u8; 12];
@@ -464,14 +449,14 @@ pub fn peek_version_bytes(bytes: &[u8]) -> Result<u32, SnapshotError> {
     Ok(wire::le_u32(head, 2))
 }
 
-/// Reads and validates a framed snapshot file.
+/// Reads and validates a framed file.
 pub fn read_file(path: impl AsRef<Path>) -> Result<(SnapshotKind, Vec<u8>), SnapshotError> {
     let mut f = std::fs::File::open(path)?;
     read_payload(&mut f)
 }
 
 // ----------------------------------------------------------------------
-// KB body
+// Terms
 // ----------------------------------------------------------------------
 
 const TERM_IRI: u8 = 0;
@@ -479,8 +464,7 @@ const TERM_PLAIN: u8 = 1;
 const TERM_LANG: u8 = 2;
 const TERM_TYPED: u8 = 3;
 
-/// Appends one tagged [`Term`] to a payload (shared by the KB body and the
-/// delta body, so the two formats stay bit-compatible).
+/// Appends one tagged [`Term`] to a payload.
 #[inline]
 pub fn put_term(w: &mut PayloadWriter, term: &Term) {
     match term {
@@ -527,345 +511,27 @@ pub fn get_term(r: &mut PayloadReader<'_>) -> Result<Term, SnapshotError> {
     })
 }
 
-/// Appends the full body of one [`Kb`] to a payload.
-pub fn encode_kb(kb: &Kb, w: &mut PayloadWriter) {
-    w.put_str(&kb.name);
-
-    // Entity tables: terms with kind tags.
-    w.put_u64(kb.terms.len() as u64);
-    for (term, kind) in kb.terms.iter().zip(&kb.kinds) {
-        put_term(w, term);
-        w.put_u8(match kind {
-            EntityKind::Instance => 0,
-            EntityKind::Class => 1,
-            EntityKind::Literal => 2,
-        });
-    }
-
-    // Relations.
-    w.put_u64(kb.relation_names.len() as u64);
-    for iri in &kb.relation_names {
-        w.put_str(iri.as_str());
-    }
-
-    // Fact indexes: per base relation, the sorted forward pairs.
-    for list in &kb.pairs {
-        w.put_u64(list.len() as u64);
-        for &(x, y) in list {
-            w.put_u32(x.0);
-            w.put_u32(y.0);
-        }
-    }
-
-    // Schema: classes and the closed membership / taxonomy maps.
-    put_id_list(w, &kb.classes);
-    put_id_map(w, &kb.class_members);
-    put_id_map(w, &kb.types_of);
-    put_id_map(w, &kb.superclasses);
-
-    // Functionalities (one per directed relation).
-    w.put_u64(kb.fun.len() as u64);
-    for &f in &kb.fun {
-        w.put_f64(f);
-    }
-}
-
-/// Decodes a [`Kb`] body, rebuilding the derived indexes (term interner,
-/// relation interner, both-direction adjacency).
-pub fn decode_kb(r: &mut PayloadReader<'_>) -> Result<Kb, SnapshotError> {
-    let name = r.get_str()?.to_owned();
-
-    let num_entities = r.get_len()?;
-    let mut terms = Vec::with_capacity(num_entities);
-    let mut kinds = Vec::with_capacity(num_entities);
-    for _ in 0..num_entities {
-        let term = get_term(r)?;
-        let kind = match r.get_u8()? {
-            0 => EntityKind::Instance,
-            1 => EntityKind::Class,
-            2 => EntityKind::Literal,
-            other => {
-                return Err(SnapshotError::corrupt(format!(
-                    "unknown entity kind {other}"
-                )))
-            }
-        };
-        terms.push(term);
-        kinds.push(kind);
-    }
-    let mut term_index: FxHashMap<Term, EntityId> =
-        FxHashMap::with_capacity_and_hasher(num_entities, Default::default());
-    term_index.extend(
-        terms
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.clone(), EntityId::from_index(i))),
-    );
-
-    let num_relations = r.get_len()?;
-    let mut relation_names = Vec::with_capacity(num_relations);
-    for _ in 0..num_relations {
-        relation_names.push(Iri::new(r.get_str()?));
-    }
-    let relation_index: FxHashMap<Iri, u32> = relation_names
-        .iter()
-        .enumerate()
-        .map(|(i, iri)| (iri.clone(), i as u32))
-        .collect();
-
-    let check_entity = |id: u32| -> Result<EntityId, SnapshotError> {
-        if u64::from(id) < num_entities as u64 {
-            Ok(EntityId(id))
-        } else {
-            Err(SnapshotError::corrupt(format!(
-                "entity id {id} out of range ({num_entities})"
-            )))
-        }
-    };
-
-    let mut pairs: Vec<Vec<(EntityId, EntityId)>> = Vec::with_capacity(num_relations);
-    for _ in 0..num_relations {
-        let n = r.get_len()?;
-        let mut list = Vec::with_capacity(n);
-        for _ in 0..n {
-            let x = check_entity(r.get_u32()?)?;
-            let y = check_entity(r.get_u32()?)?;
-            list.push((x, y));
-        }
-        pairs.push(list);
-    }
-
-    let classes = get_id_list(r, num_entities)?;
-    let class_members = get_id_map(r, num_entities)?;
-    let types_of = get_id_map(r, num_entities)?;
-    let superclasses = get_id_map(r, num_entities)?;
-
-    let num_fun = r.get_len()?;
-    if num_fun != num_relations * 2 {
-        return Err(SnapshotError::corrupt(format!(
-            "{num_fun} functionalities for {num_relations} relations"
-        )));
-    }
-    let mut fun = Vec::with_capacity(num_fun);
-    for _ in 0..num_fun {
-        fun.push(r.get_f64()?);
-    }
-
-    // Rebuild the both-direction adjacency from the pair lists. Exact
-    // degrees are counted first so each entity's row is allocated once.
-    // Entries are unique by construction (each relation's pair list is
-    // deduplicated and contributes distinct relation ids), so only the
-    // builder's sort is replayed — the loaded KB is field-identical to
-    // the one that was saved.
-    let mut degree = vec![0usize; num_entities];
-    for list in &pairs {
-        for &(x, y) in list {
-            degree[x.index()] += 1; // audit:allow(no-panic-decode): id validated by check_entity
-            degree[y.index()] += 1; // audit:allow(no-panic-decode): id validated by check_entity
-        }
-    }
-    let mut adj: Vec<Vec<(RelationId, EntityId)>> =
-        degree.into_iter().map(Vec::with_capacity).collect();
-    for (base, list) in pairs.iter().enumerate() {
-        let fwd = RelationId::forward(base);
-        let inv = fwd.inverse();
-        for &(x, y) in list {
-            adj[x.index()].push((fwd, y)); // audit:allow(no-panic-decode): id validated by check_entity
-            adj[y.index()].push((inv, x)); // audit:allow(no-panic-decode): id validated by check_entity
-        }
-    }
-    for list in &mut adj {
-        list.sort_unstable();
-    }
-
-    Ok(Kb {
-        name,
-        terms,
-        kinds,
-        term_index,
-        relation_names,
-        relation_index,
-        adj,
-        pairs,
-        classes,
-        class_members,
-        types_of,
-        superclasses,
-        fun,
-    })
-}
-
-fn put_id_list(w: &mut PayloadWriter, ids: &[EntityId]) {
-    w.put_u64(ids.len() as u64);
-    for id in ids {
-        w.put_u32(id.0);
-    }
-}
-
-fn get_id_list(
-    r: &mut PayloadReader<'_>,
-    num_entities: usize,
-) -> Result<Vec<EntityId>, SnapshotError> {
-    let n = r.get_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let id = r.get_u32()?;
-        if u64::from(id) >= num_entities as u64 {
-            return Err(SnapshotError::corrupt(format!(
-                "entity id {id} out of range"
-            )));
-        }
-        out.push(EntityId(id));
-    }
-    Ok(out)
-}
-
-fn put_id_map(w: &mut PayloadWriter, map: &FxHashMap<EntityId, Vec<EntityId>>) {
-    // Deterministic on-disk order: sort entries by key.
-    let mut entries: Vec<(EntityId, &Vec<EntityId>)> = map.iter().map(|(&k, v)| (k, v)).collect();
-    entries.sort_unstable_by_key(|&(k, _)| k);
-    w.put_u64(entries.len() as u64);
-    for (k, ids) in entries {
-        w.put_u32(k.0);
-        put_id_list(w, ids);
-    }
-}
-
-fn get_id_map(
-    r: &mut PayloadReader<'_>,
-    num_entities: usize,
-) -> Result<FxHashMap<EntityId, Vec<EntityId>>, SnapshotError> {
-    let n = r.get_len()?;
-    let mut map = FxHashMap::default();
-    for _ in 0..n {
-        let k = r.get_u32()?;
-        if u64::from(k) >= num_entities as u64 {
-            return Err(SnapshotError::corrupt(format!("map key {k} out of range")));
-        }
-        let v = get_id_list(r, num_entities)?;
-        map.insert(EntityId(k), v);
-    }
-    Ok(map)
-}
-
-// ----------------------------------------------------------------------
-// Single-KB convenience API
-// ----------------------------------------------------------------------
-
-/// Serializes one KB into a framed snapshot byte vector.
-pub fn kb_to_bytes(kb: &Kb) -> Vec<u8> {
-    let mut payload = PayloadWriter::new();
-    encode_kb(kb, &mut payload);
-    let mut out = frame_header(SnapshotKind::Kb, payload.bytes());
-    out.extend_from_slice(payload.bytes());
-    out
-}
-
-/// Writes a single-KB snapshot file.
-pub fn save_kb(kb: &Kb, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-    let mut payload = PayloadWriter::new();
-    encode_kb(kb, &mut payload);
-    write_file(path, SnapshotKind::Kb, payload.bytes())
-}
-
-/// Loads a single-KB snapshot file, auto-detecting the format version:
-/// v1 decodes the framed stream, v2 (as written by `save_kb_v2` or
-/// `paris ingest`) validates the section image and materializes it.
-pub fn load_kb(path: impl AsRef<Path>) -> Result<Kb, SnapshotError> {
-    let path = path.as_ref();
-    {
-        use std::io::Read;
-        let mut header = [0u8; 12];
-        let mut f = std::fs::File::open(path)?;
-        if f.read_exact(&mut header).is_ok()
-            && header.starts_with(&MAGIC)
-            && wire::le_u32(&header, 2) == crate::snapshot_v2::FORMAT_VERSION_V2
-        {
-            let snap = crate::snapshot_v2::MappedKbSnapshot::open(path)?;
-            return Ok(snap.kb().to_kb());
-        }
-    }
-    let (kind, payload) = read_file(path)?;
-    if kind != SnapshotKind::Kb {
-        return Err(SnapshotError::corrupt(format!(
-            "expected a single-KB snapshot, found a {}",
-            kind.name()
-        )));
-    }
-    let mut r = PayloadReader::new(&payload);
-    let kb = decode_kb(&mut r)?;
-    if !r.is_exhausted() {
-        return Err(SnapshotError::corrupt("trailing bytes after KB body"));
-    }
-    Ok(kb)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::KbBuilder;
 
-    fn sample_kb() -> Kb {
-        let mut b = KbBuilder::new("sample");
-        b.add_fact("http://x/Elvis", "http://x/bornIn", "http://x/Tupelo");
-        b.add_literal_fact(
-            "http://x/Elvis",
-            "http://x/name",
-            Literal::plain("Elvis Presley"),
-        );
-        b.add_literal_fact(
-            "http://x/Elvis",
-            "http://x/label",
-            Literal::lang_tagged("Elvis", "en"),
-        );
-        b.add_literal_fact(
-            "http://x/Elvis",
-            "http://x/born",
-            Literal::typed("1935", "http://www.w3.org/2001/XMLSchema#gYear"),
-        );
-        b.add_type("http://x/Elvis", "http://x/Singer");
-        b.add_subclass("http://x/Singer", "http://x/Person");
-        b.build()
+    fn framed() -> Vec<u8> {
+        let payload: Vec<u8> = (0u8..100).collect();
+        let mut bytes = frame_header(SnapshotKind::Delta, &payload);
+        bytes.extend_from_slice(&payload);
+        bytes
     }
 
     #[test]
-    fn kb_round_trips_through_bytes() {
-        let kb = sample_kb();
-        let bytes = kb_to_bytes(&kb);
-        let (kind, payload) = read_payload(&mut &bytes[..]).unwrap();
-        assert_eq!(kind, SnapshotKind::Kb);
-        let loaded = decode_kb(&mut PayloadReader::new(&payload)).unwrap();
-
-        assert_eq!(loaded.name(), kb.name());
-        assert_eq!(loaded.num_entities(), kb.num_entities());
-        assert_eq!(loaded.num_facts(), kb.num_facts());
-        assert_eq!(loaded.num_classes(), kb.num_classes());
-        assert_eq!(
-            crate::stats::KbStats::of(&loaded),
-            crate::stats::KbStats::of(&kb)
-        );
-
-        let elvis = loaded.entity_by_iri("http://x/Elvis").unwrap();
-        let born_in = loaded.relation_by_iri("http://x/bornIn").unwrap();
-        assert_eq!(
-            loaded.functionality(born_in),
-            kb.functionality(kb.relation_by_iri("http://x/bornIn").unwrap())
-        );
-        assert_eq!(
-            loaded.facts(elvis).len(),
-            kb.facts(kb.entity_by_iri("http://x/Elvis").unwrap()).len()
-        );
-        assert_eq!(
-            loaded.types_of(elvis).len(),
-            2,
-            "Singer + Person via closure"
-        );
+    fn frame_round_trips() {
+        let (kind, payload) = read_payload(&mut &framed()[..]).unwrap();
+        assert_eq!(kind, SnapshotKind::Delta);
+        assert_eq!(payload, (0u8..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn bad_magic_is_rejected() {
-        let kb = sample_kb();
-        let mut bytes = kb_to_bytes(&kb);
+        let mut bytes = framed();
         bytes[0] = b'X';
         assert!(matches!(
             read_payload(&mut &bytes[..]),
@@ -875,8 +541,7 @@ mod tests {
 
     #[test]
     fn future_version_is_rejected() {
-        let kb = sample_kb();
-        let mut bytes = kb_to_bytes(&kb);
+        let mut bytes = framed();
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         assert!(matches!(
             read_payload(&mut &bytes[..]),
@@ -886,8 +551,7 @@ mod tests {
 
     #[test]
     fn flipped_payload_bit_fails_checksum() {
-        let kb = sample_kb();
-        let mut bytes = kb_to_bytes(&kb);
+        let mut bytes = framed();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
         assert!(matches!(
@@ -898,8 +562,7 @@ mod tests {
 
     #[test]
     fn truncated_file_is_rejected() {
-        let kb = sample_kb();
-        let bytes = kb_to_bytes(&kb);
+        let bytes = framed();
         for cut in [0, 4, HEADER_LEN - 1, HEADER_LEN + 10, bytes.len() - 1] {
             let err = read_payload(&mut &bytes[..cut]).unwrap_err();
             assert!(
@@ -910,19 +573,6 @@ mod tests {
                 "cut at {cut}: {err}"
             );
         }
-    }
-
-    #[test]
-    fn save_and_load_file() {
-        let kb = sample_kb();
-        let path = std::env::temp_dir().join("paris_snapshot_unit_test.snap");
-        save_kb(&kb, &path).unwrap();
-        let loaded = load_kb(&path).unwrap();
-        assert_eq!(
-            crate::stats::KbStats::of(&loaded),
-            crate::stats::KbStats::of(&kb)
-        );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

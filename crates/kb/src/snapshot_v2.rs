@@ -1,12 +1,12 @@
-//! Snapshot format **v2**: a zero-copy, section-table layout read in
-//! place from an [`Arena`].
+//! Snapshot format **v2** — the only snapshot format: a zero-copy,
+//! section-table layout read in place from an [`Arena`].
 //!
-//! The v1 format ([`crate::snapshot`]) is a stream of length-prefixed
-//! records that must be decoded — every load re-interns every term and
-//! re-allocates every index, so startup cost and resident memory scale
-//! with the image. v2 instead lays the same data out as fixed-width,
-//! 8-byte-aligned, little-endian *sections* that the accessor views
-//! ([`KbView`]) read directly out of the file bytes. Opening a v2
+//! A stream of length-prefixed records (the retired v1 format) must be
+//! decoded — every load re-interns every term and re-allocates every
+//! index, so startup cost and resident memory scale with the image. v2
+//! instead lays the same data out as fixed-width, 8-byte-aligned,
+//! little-endian *sections* that the accessor views ([`KbView`]) read
+//! directly out of the file bytes. Opening a v2
 //! snapshot validates the section table, per-section checksums, and the
 //! structural invariants (array sizes, offset monotonicity, id ranges)
 //! **once**, and never decodes the body: with an mmap-backed arena the
@@ -55,8 +55,8 @@
 //! | *_KEYS / *_OFFSETS / *_VALUES | the three closed schema maps |
 //! | FUN | `f64 × 2·#relations` functionalities |
 //!
-//! Unlike v1, the both-direction adjacency is **stored**, not rebuilt:
-//! disk is cheap next to the per-load sort it replaces.
+//! The both-direction adjacency is **stored**, not rebuilt at load: disk
+//! is cheap next to the per-load sort that would replace it.
 //!
 //! # Trust model
 //!
@@ -65,8 +65,7 @@
 //! consistent checksums can still lie about its contents — views will
 //! then return wrong answers, but never panic, read out of bounds, or
 //! over-allocate: every id is range-checked at open and every string is
-//! decoded lossily. Snapshots remain operator-provided inputs, same as
-//! v1.
+//! decoded lossily. Snapshots remain operator-provided inputs.
 
 use std::ops::Range;
 use std::path::Path;
@@ -77,7 +76,8 @@ use crate::arena::Arena;
 use crate::fxhash::FxHashMap;
 use crate::ids::{EntityId, EntityKind, RelationId};
 use crate::snapshot::{
-    write_bytes_atomic, PayloadReader, PayloadWriter, SnapshotError, SnapshotKind, MAGIC,
+    peek_version_bytes, write_bytes_atomic, PayloadReader, PayloadWriter, SnapshotError,
+    SnapshotKind, MAGIC,
 };
 use crate::stats::KbStats;
 use crate::store::Kb;
@@ -119,8 +119,8 @@ pub(crate) const KB_FUN: u32 = 21;
 /// 64-bit section checksum: four independent FNV-style multiply lanes
 /// over 32-byte blocks, folded together at the end.
 ///
-/// The v1 checksum ([`crate::snapshot::checksum`]) is one serial
-/// xor-multiply chain — fine when hidden behind a full decode, but it
+/// The frame checksum ([`crate::snapshot::checksum`]) is one serial
+/// xor-multiply chain — fine for a small delta payload, but a checksum
 /// *is* the open cost of a v2 snapshot, so this variant breaks the
 /// dependency chain into four lanes the CPU runs in parallel (~4× the
 /// throughput). Detection is as strong for the corruption this guards
@@ -128,7 +128,7 @@ pub(crate) const KB_FUN: u32 = 21;
 /// fold is injective per lane, so any change confined to one 8-byte word
 /// — every single-byte flip — provably changes the sum; the length is
 /// folded into the seeds so truncation to a word boundary changes it
-/// too. Not cryptography, same as v1.
+/// too. Not cryptography.
 pub fn checksum_v2(bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01B3;
     const SEEDS: [u64; 4] = [
@@ -499,15 +499,14 @@ impl SnapshotArena {
 
     fn validate(arena: Arena) -> Result<Self, SnapshotError> {
         let buf = arena.bytes();
-        if buf.len() < HEADER_LEN {
-            return Err(SnapshotError::corrupt("file shorter than the v2 header"));
-        }
-        if !buf.starts_with(&MAGIC) {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = wire::le_u32(buf, 2);
+        // Magic and version first: a file of another (or the retired v1)
+        // format reports as that, however short it is.
+        let version = peek_version_bytes(buf)?;
         if version != FORMAT_VERSION_V2 {
             return Err(SnapshotError::UnsupportedVersion(version));
+        }
+        if buf.len() < HEADER_LEN {
+            return Err(SnapshotError::corrupt("file shorter than the v2 header"));
         }
         let [kind_byte, reserved @ ..] = wire::le_u32(buf, 3).to_le_bytes();
         let kind = SnapshotKind::from_byte(kind_byte)?;
@@ -1377,8 +1376,8 @@ impl<'a> KbView<'a> {
     }
 
     /// Fully decodes ("hydrates") this view into an owned [`Kb`] — the
-    /// bridge back to every API that needs an owned KB (deltas, jobs,
-    /// v2 → v1 conversion). This is the expensive path v2 serving avoids.
+    /// bridge back to every API that needs an owned KB (deltas, jobs).
+    /// This is the expensive path v2 serving avoids.
     pub fn to_kb(&self) -> Kb {
         let n = self.layout.num_entities;
         let terms: Vec<Term> = (0..n).map(|i| self.term(EntityId::from_index(i))).collect();
@@ -1438,7 +1437,7 @@ impl std::fmt::Debug for KbView<'_> {
 }
 
 // ----------------------------------------------------------------------
-// Single-KB convenience API (mirrors snapshot::save_kb / load_kb)
+// Single-KB convenience API
 // ----------------------------------------------------------------------
 
 /// Serializes one KB into a framed v2 snapshot byte vector.
@@ -1650,11 +1649,10 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_are_not_v2() {
-        let kb = sample_kb();
-        let v1 = crate::snapshot::kb_to_bytes(&kb);
+    fn v1_framed_files_are_not_v2() {
+        let delta = crate::delta::KbDelta::new("sample").to_bytes();
         assert!(matches!(
-            SnapshotArena::from_bytes(v1),
+            SnapshotArena::from_bytes(delta),
             Err(SnapshotError::UnsupportedVersion(1))
         ));
     }

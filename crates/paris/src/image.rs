@@ -1,23 +1,21 @@
-//! One serving image of an aligned pair, whatever its on-disk format.
+//! The serving image of an aligned pair.
 //!
-//! [`PairImage`] unifies the two load paths behind one query surface:
-//! a v1 snapshot decodes into an owned [`AlignedPairSnapshot`]; a v2
-//! snapshot opens as a zero-copy [`MappedPairSnapshot`] whose views read
-//! the arena in place. The daemon (and anything else answering `sameas`
-//! / `neighbors` / stats queries) programs against this enum and gets
-//! bit-identical answers from either representation — the v2 encoder
-//! stores rows in exactly the order the v1 decoder would rebuild them,
-//! and the view accessors replicate the owned accessors' folds.
+//! [`PairImage`] is an opened v2 snapshot ([`MappedPairSnapshot`]) behind
+//! the side-addressed query surface the daemon (and anything else
+//! answering `sameas` / `neighbors` / stats / explain queries) programs
+//! against: every accessor names a [`PairSide`] and reads the arena in
+//! place. Answers are bit-identical to the heap [`AlignedPairSnapshot`]
+//! the image was encoded from — the encoder stores rows in the heap
+//! stores' order and the view accessors replicate their folds.
 
 use std::path::Path;
 
-use paris_kb::snapshot::{peek_version, SnapshotError, FORMAT_VERSION};
-use paris_kb::snapshot_v2::FORMAT_VERSION_V2;
-use paris_kb::{EntityId, EntityKind, KbStats, RelationId};
+use paris_kb::snapshot::SnapshotError;
+use paris_kb::{EntityId, EntityKind, KbStats, KbView, RelationId};
 use paris_rdf::Literal;
 
 use crate::owned::AlignedPairSnapshot;
-use crate::view::MappedPairSnapshot;
+use crate::view::{AlignmentView, MappedPairSnapshot};
 
 /// Which KB of a pair a query addresses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,136 +39,86 @@ pub struct FactRow {
     pub functionality: f64,
 }
 
-/// A loaded aligned-pair serving image: decoded (v1) or mapped (v2).
+/// A loaded aligned-pair serving image.
 #[derive(Debug)]
-pub enum PairImage {
-    /// A fully decoded v1 snapshot (owned, heap-resident; boxed — the
-    /// owned snapshot is an order of magnitude bigger than the mapped
-    /// layouts, and images live behind an `Arc` anyway).
-    Decoded(Box<AlignedPairSnapshot>),
-    /// A zero-copy v2 snapshot (arena-backed, reads in place; boxed so
-    /// the enum stays pointer-sized either way).
-    Mapped(Box<MappedPairSnapshot>),
+pub struct PairImage(MappedPairSnapshot);
+
+impl From<MappedPairSnapshot> for PairImage {
+    fn from(snapshot: MappedPairSnapshot) -> Self {
+        PairImage(snapshot)
+    }
 }
 
 impl PairImage {
-    /// Loads a snapshot file, dispatching on its format version: v1 is
-    /// decoded, v2 is opened in place.
+    /// Opens a snapshot file in place (mmap-backed on Unix).
     pub fn load(path: impl AsRef<Path>) -> Result<PairImage, SnapshotError> {
-        let path = path.as_ref();
-        match peek_version(path)? {
-            FORMAT_VERSION => Ok(PairImage::Decoded(Box::new(AlignedPairSnapshot::load(
-                path,
-            )?))),
-            FORMAT_VERSION_V2 => Ok(PairImage::Mapped(Box::new(MappedPairSnapshot::open(path)?))),
-            other => Err(SnapshotError::UnsupportedVersion(other)),
+        MappedPairSnapshot::open(path).map(PairImage)
+    }
+
+    fn kb(&self, side: PairSide) -> KbView<'_> {
+        match side {
+            PairSide::Kb1 => self.0.kb1(),
+            PairSide::Kb2 => self.0.kb2(),
         }
     }
 
-    /// The snapshot format version this image was loaded from.
-    pub fn format_version(&self) -> u32 {
-        match self {
-            PairImage::Decoded(_) => FORMAT_VERSION,
-            PairImage::Mapped(_) => FORMAT_VERSION_V2,
-        }
+    fn alignment(&self) -> AlignmentView<'_> {
+        self.0.alignment()
     }
 
-    /// True when the image reads from an OS memory mapping (evicting it
-    /// saves nothing — the page cache owns the bytes).
+    /// True when the image reads from an OS memory mapping (the page
+    /// cache, not this process, owns the bytes).
     pub fn is_mapped(&self) -> bool {
-        match self {
-            PairImage::Decoded(_) => false,
-            PairImage::Mapped(m) => m.is_mapped(),
-        }
+        self.0.is_mapped()
     }
 
-    /// Converts into an owned snapshot, hydrating a mapped image.
+    /// Converts into an owned snapshot by hydrating the image.
     pub fn into_decoded(self) -> AlignedPairSnapshot {
-        match self {
-            PairImage::Decoded(s) => *s,
-            PairImage::Mapped(m) => m.hydrate(),
-        }
+        self.0.hydrate()
     }
 
     /// The display name of one side's KB.
     pub fn kb_name(&self, side: PairSide) -> &str {
-        match (self, side) {
-            (PairImage::Decoded(s), PairSide::Kb1) => s.kb1.name(),
-            (PairImage::Decoded(s), PairSide::Kb2) => s.kb2.name(),
-            (PairImage::Mapped(m), PairSide::Kb1) => m.kb1().name(),
-            (PairImage::Mapped(m), PairSide::Kb2) => m.kb2().name(),
-        }
+        self.kb(side).name()
     }
 
     /// Table-2-style statistics of one side's KB.
     pub fn kb_stats(&self, side: PairSide) -> KbStats {
-        match (self, side) {
-            (PairImage::Decoded(s), PairSide::Kb1) => KbStats::of(&s.kb1),
-            (PairImage::Decoded(s), PairSide::Kb2) => KbStats::of(&s.kb2),
-            (PairImage::Mapped(m), PairSide::Kb1) => m.kb1().stats(),
-            (PairImage::Mapped(m), PairSide::Kb2) => m.kb2().stats(),
-        }
+        self.kb(side).stats()
     }
 
     /// Number of entities (instances, classes, and literals) on one
     /// side — the id space quality scans iterate.
     pub fn num_entities(&self, side: PairSide) -> usize {
-        match (self, side) {
-            (PairImage::Decoded(s), PairSide::Kb1) => s.kb1.num_entities(),
-            (PairImage::Decoded(s), PairSide::Kb2) => s.kb2.num_entities(),
-            (PairImage::Mapped(m), PairSide::Kb1) => m.kb1().num_entities(),
-            (PairImage::Mapped(m), PairSide::Kb2) => m.kb2().num_entities(),
-        }
+        self.kb(side).num_entities()
     }
 
     /// Number of directed relations on one side.
     pub fn num_directed_relations(&self, side: PairSide) -> usize {
-        match (self, side) {
-            (PairImage::Decoded(s), PairSide::Kb1) => s.kb1.num_directed_relations(),
-            (PairImage::Decoded(s), PairSide::Kb2) => s.kb2.num_directed_relations(),
-            (PairImage::Mapped(m), PairSide::Kb1) => m.kb1().num_directed_relations(),
-            (PairImage::Mapped(m), PairSide::Kb2) => m.kb2().num_directed_relations(),
-        }
+        self.kb(side).num_directed_relations()
     }
 
     /// Looks up an entity by IRI on one side.
     pub fn entity_by_iri(&self, side: PairSide, iri: &str) -> Option<EntityId> {
-        match (self, side) {
-            (PairImage::Decoded(s), PairSide::Kb1) => s.kb1.entity_by_iri(iri),
-            (PairImage::Decoded(s), PairSide::Kb2) => s.kb2.entity_by_iri(iri),
-            (PairImage::Mapped(m), PairSide::Kb1) => m.kb1().entity_by_iri(iri),
-            (PairImage::Mapped(m), PairSide::Kb2) => m.kb2().entity_by_iri(iri),
-        }
+        self.kb(side).entity_by_iri(iri)
     }
 
     /// The IRI string of an entity on one side (`None` for literals).
     pub fn entity_iri(&self, side: PairSide, e: EntityId) -> Option<String> {
-        match (self, side) {
-            (PairImage::Decoded(s), PairSide::Kb1) => s.kb1.iri(e).map(|i| i.as_str().to_owned()),
-            (PairImage::Decoded(s), PairSide::Kb2) => s.kb2.iri(e).map(|i| i.as_str().to_owned()),
-            (PairImage::Mapped(m), PairSide::Kb1) => m.kb1().iri_str(e).map(str::to_owned),
-            (PairImage::Mapped(m), PairSide::Kb2) => m.kb2().iri_str(e).map(str::to_owned),
-        }
+        self.kb(side).iri_str(e).map(str::to_owned)
     }
 
     /// The best match of an entity on `side`, in the *other* KB.
     pub fn best_match_from(&self, side: PairSide, e: EntityId) -> Option<(EntityId, f64)> {
-        match (self, side) {
-            (PairImage::Decoded(s), PairSide::Kb1) => s.alignment.best_match(e),
-            (PairImage::Decoded(s), PairSide::Kb2) => s.alignment.best_match_rev(e),
-            (PairImage::Mapped(m), PairSide::Kb1) => m.alignment().best_match(e),
-            (PairImage::Mapped(m), PairSide::Kb2) => m.alignment().best_match_rev(e),
+        match side {
+            PairSide::Kb1 => self.alignment().best_match(e),
+            PairSide::Kb2 => self.alignment().best_match_rev(e),
         }
     }
 
     /// Number of statements around an entity (both directions).
     pub fn facts_len(&self, side: PairSide, e: EntityId) -> usize {
-        match (self, side) {
-            (PairImage::Decoded(s), PairSide::Kb1) => s.kb1.facts(e).len(),
-            (PairImage::Decoded(s), PairSide::Kb2) => s.kb2.facts(e).len(),
-            (PairImage::Mapped(m), PairSide::Kb1) => m.kb1().facts_len(e),
-            (PairImage::Mapped(m), PairSide::Kb2) => m.kb2().facts_len(e),
-        }
+        self.kb(side).facts_len(e)
     }
 
     /// One page of statements around an entity, rendered: `limit` rows
@@ -182,180 +130,99 @@ impl PairImage {
         offset: usize,
         limit: usize,
     ) -> Vec<FactRow> {
-        match (self, side) {
-            (PairImage::Decoded(s), PairSide::Kb1) => decoded_facts(&s.kb1, e, offset, limit),
-            (PairImage::Decoded(s), PairSide::Kb2) => decoded_facts(&s.kb2, e, offset, limit),
-            (PairImage::Mapped(m), PairSide::Kb1) => mapped_facts(m.kb1(), e, offset, limit),
-            (PairImage::Mapped(m), PairSide::Kb2) => mapped_facts(m.kb2(), e, offset, limit),
-        }
+        let kb = self.kb(side);
+        kb.facts(e)
+            .skip(offset)
+            .take(limit)
+            .map(|(r, y)| FactRow {
+                relation: kb.relation_iri_str(r).to_owned(),
+                inverse: r.is_inverse(),
+                value: kb.term(y).to_string(),
+                functionality: kb.functionality(r),
+            })
+            .collect()
     }
 
     /// Number of assigned KB-1 instances.
     pub fn aligned_instances(&self) -> usize {
-        match self {
-            PairImage::Decoded(s) => s.alignment.instance_pairs(&s.kb1).len(),
-            PairImage::Mapped(m) => m.alignment().aligned_instances(m.kb1()),
-        }
+        self.alignment().aligned_instances(self.0.kb1())
     }
 
     /// Total number of stored (non-zero) instance equivalences.
     pub fn num_instance_pairs(&self) -> usize {
-        match self {
-            PairImage::Decoded(s) => s.alignment.num_instance_pairs(),
-            PairImage::Mapped(m) => m.alignment().num_instance_pairs(),
-        }
+        self.alignment().num_instance_pairs()
     }
 
     /// Number of clamped literal-equivalence pairs.
     pub fn literal_pairs(&self) -> usize {
-        match self {
-            PairImage::Decoded(s) => s.alignment.literal_pairs,
-            PairImage::Mapped(m) => m.alignment().literal_pairs(),
-        }
+        self.alignment().literal_pairs()
     }
 
     /// Iteration count of the producing run.
     pub fn iterations_len(&self) -> usize {
-        match self {
-            PairImage::Decoded(s) => s.alignment.iterations.len(),
-            PairImage::Mapped(m) => m.alignment().iterations().len(),
-        }
+        self.alignment().iterations().len()
     }
 
     /// Whether the producing run converged.
     pub fn converged(&self) -> bool {
-        match self {
-            PairImage::Decoded(s) => s.alignment.converged,
-            PairImage::Mapped(m) => m.alignment().converged(),
-        }
+        self.alignment().converged()
     }
 
     // ------------------------------------------------------------------
-    // Raw id-level accessors (the stored-evidence explain path). Both
-    // representations answer in identical order with identical bits:
-    // the v2 encoder stores rows exactly as the v1 decoder rebuilds
-    // them, which is what makes a rendered explanation byte-identical
-    // across formats.
+    // Raw id-level accessors (the stored-evidence explain path).
     // ------------------------------------------------------------------
 
     /// The kind of an entity on one side.
     pub fn entity_kind(&self, side: PairSide, e: EntityId) -> EntityKind {
-        match (self, side) {
-            (PairImage::Decoded(s), PairSide::Kb1) => s.kb1.kind(e),
-            (PairImage::Decoded(s), PairSide::Kb2) => s.kb2.kind(e),
-            (PairImage::Mapped(m), PairSide::Kb1) => m.kb1().kind(e),
-            (PairImage::Mapped(m), PairSide::Kb2) => m.kb2().kind(e),
-        }
+        self.kb(side).kind(e)
     }
 
     /// All statements around an entity (both directions), as raw ids in
     /// stored order.
-    pub fn facts_ids(&self, side: PairSide, e: EntityId) -> Vec<(RelationId, EntityId)> {
-        match (self, side) {
-            (PairImage::Decoded(s), PairSide::Kb1) => s.kb1.facts(e).to_vec(),
-            (PairImage::Decoded(s), PairSide::Kb2) => s.kb2.facts(e).to_vec(),
-            (PairImage::Mapped(m), PairSide::Kb1) => m.kb1().facts(e).collect(),
-            (PairImage::Mapped(m), PairSide::Kb2) => m.kb2().facts(e).collect(),
-        }
+    pub fn facts_ids(
+        &self,
+        side: PairSide,
+        e: EntityId,
+    ) -> impl ExactSizeIterator<Item = (RelationId, EntityId)> + '_ {
+        self.kb(side).facts(e)
     }
 
     /// Global functionality of a directed relation on one side.
     pub fn functionality(&self, side: PairSide, r: RelationId) -> f64 {
-        match (self, side) {
-            (PairImage::Decoded(s), PairSide::Kb1) => s.kb1.functionality(r),
-            (PairImage::Decoded(s), PairSide::Kb2) => s.kb2.functionality(r),
-            (PairImage::Mapped(m), PairSide::Kb1) => m.kb1().functionality(r),
-            (PairImage::Mapped(m), PairSide::Kb2) => m.kb2().functionality(r),
-        }
+        self.kb(side).functionality(r)
     }
 
     /// The IRI of a directed relation on one side (base IRI; pair with
     /// [`RelationId::is_inverse`] for direction).
     pub fn relation_iri_of(&self, side: PairSide, r: RelationId) -> String {
-        match (self, side) {
-            (PairImage::Decoded(s), PairSide::Kb1) => s.kb1.relation_iri(r).as_str().to_owned(),
-            (PairImage::Decoded(s), PairSide::Kb2) => s.kb2.relation_iri(r).as_str().to_owned(),
-            (PairImage::Mapped(m), PairSide::Kb1) => m.kb1().relation_iri_str(r).to_owned(),
-            (PairImage::Mapped(m), PairSide::Kb2) => m.kb2().relation_iri_str(r).to_owned(),
-        }
+        self.kb(side).relation_iri_str(r).to_owned()
     }
 
     /// The rendered term of an entity (IRI string or literal value).
     pub fn term_string(&self, side: PairSide, e: EntityId) -> String {
-        match (self, side) {
-            (PairImage::Decoded(s), PairSide::Kb1) => s.kb1.term(e).to_string(),
-            (PairImage::Decoded(s), PairSide::Kb2) => s.kb2.term(e).to_string(),
-            (PairImage::Mapped(m), PairSide::Kb1) => m.kb1().term(e).to_string(),
-            (PairImage::Mapped(m), PairSide::Kb2) => m.kb2().term(e).to_string(),
-        }
+        self.kb(side).term(e).to_string()
     }
 
     /// The literal value of an entity, if it is one.
     pub fn literal_of(&self, side: PairSide, e: EntityId) -> Option<Literal> {
-        match (self, side) {
-            (PairImage::Decoded(s), PairSide::Kb1) => s.kb1.literal(e).cloned(),
-            (PairImage::Decoded(s), PairSide::Kb2) => s.kb2.literal(e).cloned(),
-            (PairImage::Mapped(m), PairSide::Kb1) => m.kb1().term(e).as_literal().cloned(),
-            (PairImage::Mapped(m), PairSide::Kb2) => m.kb2().term(e).as_literal().cloned(),
-        }
+        self.kb(side).term(e).as_literal().cloned()
     }
 
     /// Stored `Pr(x ≡ x′)` for a KB-1 / KB-2 entity pair (zero when the
     /// pair is not in the stored alignment).
     pub fn equiv_prob(&self, x: EntityId, x2: EntityId) -> f64 {
-        match self {
-            PairImage::Decoded(s) => s.alignment.instances.prob(x, x2),
-            PairImage::Mapped(m) => m.alignment().prob(x, x2),
-        }
+        self.alignment().prob(x, x2)
     }
 
     /// Stored `Pr(r ⊆ r′)` for `r` in KB 1, `r′` in KB 2.
     pub fn subrel_1in2(&self, r1: RelationId, r2: RelationId) -> f64 {
-        match self {
-            PairImage::Decoded(s) => s.alignment.subrelations.prob_1in2(r1, r2),
-            PairImage::Mapped(m) => m.alignment().subrel_prob_1in2(r1, r2),
-        }
+        self.alignment().subrel_prob_1in2(r1, r2)
     }
 
     /// Stored `Pr(r′ ⊆ r)` for `r′` in KB 2, `r` in KB 1.
     pub fn subrel_2in1(&self, r2: RelationId, r1: RelationId) -> f64 {
-        match self {
-            PairImage::Decoded(s) => s.alignment.subrelations.prob_2in1(r2, r1),
-            PairImage::Mapped(m) => m.alignment().subrel_prob_2in1(r2, r1),
-        }
+        self.alignment().subrel_prob_2in1(r2, r1)
     }
-}
-
-fn decoded_facts(kb: &paris_kb::Kb, e: EntityId, offset: usize, limit: usize) -> Vec<FactRow> {
-    kb.facts(e)
-        .iter()
-        .skip(offset)
-        .take(limit)
-        .map(|&(r, y)| FactRow {
-            relation: kb.relation_iri(r).as_str().to_owned(),
-            inverse: r.is_inverse(),
-            value: kb.term(y).to_string(),
-            functionality: kb.functionality(r),
-        })
-        .collect()
-}
-
-fn mapped_facts(
-    kb: paris_kb::KbView<'_>,
-    e: EntityId,
-    offset: usize,
-    limit: usize,
-) -> Vec<FactRow> {
-    kb.facts(e)
-        .skip(offset)
-        .take(limit)
-        .map(|(r, y)| FactRow {
-            relation: kb.relation_iri_str(r).to_owned(),
-            inverse: r.is_inverse(),
-            value: kb.term(y).to_string(),
-            functionality: kb.functionality(r),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -391,39 +258,27 @@ mod tests {
     }
 
     #[test]
-    fn load_dispatches_on_format_version() {
+    fn loaded_image_answers_like_the_heap_snapshot() {
         let dir = std::env::temp_dir().join("paris_image_unit");
         std::fs::create_dir_all(&dir).unwrap();
         let snap = tiny_snapshot();
-        let v1 = dir.join("pair_v1.snap");
-        let v2 = dir.join("pair_v2.snap");
-        snap.save(&v1).unwrap();
-        MappedPairSnapshot::save_v2(&snap, &v2).unwrap();
+        let path = dir.join("pair.snap");
+        MappedPairSnapshot::save_v2(&snap, &path).unwrap();
+        let img = PairImage::load(&path).unwrap();
 
-        let d = PairImage::load(&v1).unwrap();
-        let m = PairImage::load(&v2).unwrap();
-        assert_eq!(d.format_version(), 1);
-        assert_eq!(m.format_version(), 2);
-        assert!(matches!(d, PairImage::Decoded(_)));
-        assert!(matches!(m, PairImage::Mapped(_)));
-
-        // Identical answers through the unified surface.
-        for img in [&d, &m] {
-            assert_eq!(img.kb_name(PairSide::Kb1), "left");
-            assert_eq!(img.aligned_instances(), 4);
-            let e = img.entity_by_iri(PairSide::Kb1, "http://a/p1").unwrap();
-            let (matched, p) = img.best_match_from(PairSide::Kb1, e).unwrap();
-            assert_eq!(
-                img.entity_iri(PairSide::Kb2, matched).as_deref(),
-                Some("http://b/q1")
-            );
-            assert!(p > 0.0);
-            assert_eq!(
-                img.facts_page(PairSide::Kb1, e, 0, 10),
-                d.facts_page(PairSide::Kb1, e, 0, 10)
-            );
-            assert_eq!(img.kb_stats(PairSide::Kb2), KbStats::of(&snap.kb2));
-        }
+        assert_eq!(img.kb_name(PairSide::Kb1), "left");
+        assert_eq!(img.aligned_instances(), 4);
+        let e = img.entity_by_iri(PairSide::Kb1, "http://a/p1").unwrap();
+        let (matched, p) = img.best_match_from(PairSide::Kb1, e).unwrap();
+        assert_eq!(snap.alignment.best_match(e), Some((matched, p)));
+        assert_eq!(
+            img.entity_iri(PairSide::Kb2, matched).as_deref(),
+            Some("http://b/q1")
+        );
+        let page = img.facts_page(PairSide::Kb1, e, 0, 10);
+        assert_eq!(page.len(), snap.kb1.facts(e).len());
+        assert_eq!(page[0].value, "p1@x.org");
+        assert_eq!(img.kb_stats(PairSide::Kb2), KbStats::of(&snap.kb2));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -432,11 +287,7 @@ mod tests {
         let dir = std::env::temp_dir().join("paris_image_unit_badver");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.snap");
-        let mut bytes = {
-            let snap = tiny_snapshot();
-            snap.save(&path).unwrap();
-            std::fs::read(&path).unwrap()
-        };
+        let mut bytes = MappedPairSnapshot::encode(&tiny_snapshot());
         bytes[8..12].copy_from_slice(&9u32.to_le_bytes());
         std::fs::write(&path, bytes).unwrap();
         assert!(matches!(

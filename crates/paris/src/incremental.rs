@@ -584,7 +584,8 @@ pub struct UpdateReport {
 
 /// Applies deltas to either side of a loaded aligned-pair snapshot,
 /// re-aligns incrementally, and returns the updated snapshot (ready to
-/// [`save`](AlignedPairSnapshot::save) and hot-reload into a server).
+/// [`save_v2`](crate::view::MappedPairSnapshot::save_v2) and hot-reload
+/// into a server).
 ///
 /// Functionality refresh of touched relations uses the paper's default
 /// harmonic-mean definition. KBs built with another Appendix-A variant
@@ -653,6 +654,7 @@ pub fn update_snapshot(
 mod tests {
     use super::*;
     use crate::iteration::Aligner;
+    use crate::view::MappedPairSnapshot;
     use paris_kb::delta::apply;
     use paris_kb::KbBuilder;
     use paris_rdf::Literal;
@@ -841,10 +843,9 @@ mod tests {
             &IncrementalOptions::default(),
         )
         .unwrap();
-        let path = std::env::temp_dir().join("paris_incremental_roundtrip.snap");
-        updated.save(&path).unwrap();
-        let loaded = AlignedPairSnapshot::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        let loaded = MappedPairSnapshot::from_bytes(MappedPairSnapshot::encode(&updated))
+            .unwrap()
+            .hydrate();
         assert_eq!(
             loaded.alignment.instance_pairs(&loaded.kb1),
             updated.alignment.instance_pairs(&updated.kb1)

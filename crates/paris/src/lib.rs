@@ -24,9 +24,9 @@
 //! | [`subrel`] | §4.2 | Eq. 12 sub-relation pass |
 //! | [`subclass`] | §4.3 | Eq. 17 class pass |
 //! | [`iteration`] | §5.1 | bootstrap, fixed point, convergence |
-//! | [`owned`] | — | borrow-free results, aligned-pair snapshots (v1) |
-//! | [`view`] | — | zero-copy v2 snapshots: arena layouts and views |
-//! | [`image`] | — | one serving image, decoded (v1) or mapped (v2) |
+//! | [`owned`] | — | borrow-free results, heap aligned-pair snapshots |
+//! | [`view`] | — | zero-copy v2 snapshots: codec, arena layouts and views |
+//! | [`image`] | — | the side-addressed serving image over a v2 snapshot |
 //! | [`incremental`] | — | warm-started re-alignment on KB deltas |
 //! | [`quality`] | — | gold-standard-free quality summaries, drift sketches |
 //!

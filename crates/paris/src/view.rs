@@ -1,13 +1,14 @@
 //! Zero-copy aligned-pair snapshots (format v2) and their views.
 //!
-//! The v1 path ([`crate::owned`]) decodes a whole
-//! [`AlignedPairSnapshot`] into owned stores on every load. This module
-//! is the arena-backed counterpart: [`MappedPairSnapshot`] opens a v2
-//! file via [`paris_kb::snapshot_v2`] — section table validated once,
-//! body never decoded — and serves queries through borrowing views:
-//! [`KbView`] for the two KBs (defined in `paris-kb`)
-//! and [`AlignmentView`] for the alignment tables (defined here, since
-//! only this crate knows their semantics).
+//! [`MappedPairSnapshot`] opens a v2 file via [`paris_kb::snapshot_v2`]
+//! — section table validated once, body never decoded — and serves
+//! queries through borrowing views: [`KbView`] for the two KBs (defined
+//! in `paris-kb`) and [`AlignmentView`] for the alignment tables
+//! (defined here, since only this crate knows their semantics). It is
+//! also the codec of the heap [`AlignedPairSnapshot`]:
+//! [`encode`](MappedPairSnapshot::encode) /
+//! [`save_v2`](MappedPairSnapshot::save_v2) write one,
+//! [`hydrate`](MappedPairSnapshot::hydrate) rebuilds it.
 //!
 //! The alignment occupies the section ids `ALIGN_BASE + k`:
 //!
@@ -20,14 +21,14 @@
 //! | CLS12 / CLS21 | class scores: `(u32 sub, u32 sup, f64 p, u64 n)` |
 //!
 //! Candidate rows are parallel arrays (`u32` targets + `f64` probs) so
-//! every section stays fixed-width and 8-aligned. Unlike v1, the
-//! *backward* equivalence index is stored, not derived — `sameas` from
-//! the right-hand side must not force an O(pairs) rebuild at open.
+//! every section stays fixed-width and 8-aligned. The *backward*
+//! equivalence index is stored, not derived — `sameas` from the
+//! right-hand side must not force an O(pairs) rebuild at open.
 //!
 //! [`AlignmentView::best_match`] replicates
 //! [`OwnedAlignment::best_match`] factor for factor (same tie-breaking,
-//! same iteration order), which is what makes v2 answers bit-identical
-//! to the v1 decode path.
+//! same iteration order), which is what makes an opened image's answers
+//! bit-identical to the heap snapshot it was encoded from.
 
 use std::ops::Range;
 use std::path::Path;
@@ -537,7 +538,7 @@ impl<'a> AlignmentView<'a> {
     }
 
     /// Fully decodes this view into an [`OwnedAlignment`] — the bridge
-    /// back to the delta/incremental APIs and v2 → v1 conversion.
+    /// back to the delta/incremental APIs.
     pub fn to_owned_alignment(&self) -> OwnedAlignment {
         let l = self.layout;
         let rows: Vec<Vec<(EntityId, f64)>> = (0..l.n1).map(|i| self.row_in(&l.eq, i)).collect();
@@ -720,7 +721,7 @@ impl MappedPairSnapshot {
     }
 
     /// Fully decodes ("hydrates") into an owned [`AlignedPairSnapshot`]
-    /// — the expensive path, for deltas and v2 → v1 conversion.
+    /// — the expensive path, for applying deltas.
     pub fn hydrate(&self) -> AlignedPairSnapshot {
         AlignedPairSnapshot {
             kb1: self.kb1().to_kb(),
@@ -774,7 +775,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_pair_answers_are_bit_identical_to_v1() {
+    fn v2_pair_answers_are_bit_identical_to_the_heap_snapshot() {
         let snap = aligned_pair_snapshot();
         let mapped = MappedPairSnapshot::from_bytes(MappedPairSnapshot::encode(&snap)).unwrap();
 
@@ -886,6 +887,21 @@ mod tests {
                 "flip at byte {i} was not detected"
             );
         }
+    }
+
+    #[test]
+    fn mismatched_kbs_are_rejected_at_open() {
+        // An alignment stored beside KBs it was not computed for must
+        // fail validation rather than serve out-of-range ids.
+        let snap = aligned_pair_snapshot();
+        let other = {
+            let mut b = KbBuilder::new("other");
+            b.add_fact("http://o/x", "http://o/r", "http://o/y");
+            b.build()
+        };
+        let wrong = AlignedPairSnapshot::new(snap.kb1, other, snap.alignment);
+        let err = MappedPairSnapshot::from_bytes(MappedPairSnapshot::encode(&wrong)).unwrap_err();
+        assert!(err.to_string().contains("corrupt"), "{err}");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!    mirror (local checksums are computed once and cached);
 //! 3. downloads only the changed pairs (`GET /pairs/<name>/snapshot`),
 //!    writes the bytes to a temp file in the mirror directory,
-//!    validates the advertised checksum *and* the v1/v2 snapshot
-//!    framing + checksums against the temp file, and only then
+//!    validates the advertised checksum *and* the snapshot's section
+//!    table + checksums against the temp file, and only then
 //!    atomic-renames it into place — a reader (the serving catalog)
 //!    never observes a partial or corrupt image;
 //! 4. deletes local pairs the manifest no longer lists;
@@ -51,7 +51,7 @@ const BACKOFF_MAX: Duration = Duration::from_secs(60);
 pub struct ManifestEntry {
     /// Pair name (validated against [`valid_pair_name`] at parse time).
     pub name: String,
-    /// Snapshot format version (1 or 2).
+    /// Snapshot format version as advertised (0 = not a snapshot).
     pub format: u32,
     /// The primary's per-pair generation (0 = never loaded there).
     pub generation: u64,
@@ -116,47 +116,32 @@ pub fn parse_manifest(text: &str) -> Result<(Vec<ManifestEntry>, Vec<String>), S
 }
 
 /// The in-memory half of transfer validation: the advertised content
-/// checksum must match, the magic/version must be a supported snapshot
-/// format, and a v1 payload must frame-validate as an **aligned pair**
-/// (magic, version, kind, declared length, payload checksum). A v2
-/// image passes this stage on its header alone — its section table is
-/// validated by [`validate_v2_file`] once the bytes are on disk, where
-/// the arena can mmap them instead of copying. Returns the version.
-fn validate_bytes(bytes: &[u8], expected_checksum: u64) -> Result<u32, String> {
+/// checksum must match and the magic/version prefix must name the
+/// snapshot format — a bad transfer is rejected before anything touches
+/// disk. The section table is validated by [`validate_file`] once the
+/// bytes are there, where the arena can mmap them instead of copying.
+fn validate_bytes(bytes: &[u8], expected_checksum: u64) -> Result<(), String> {
     let actual = checksum_v2(bytes);
     if actual != expected_checksum {
         return Err(format!(
             "content checksum mismatch (advertised {expected_checksum:016x}, got {actual:016x})"
         ));
     }
-    let version =
-        snapshot::peek_version_bytes(bytes).map_err(|e| format!("bad snapshot framing: {e}"))?;
-    match version {
-        snapshot::FORMAT_VERSION => {
-            let (kind, _) = snapshot::read_payload(&mut &bytes[..])
-                .map_err(|e| format!("bad v1 snapshot: {e}"))?;
-            if kind != SnapshotKind::AlignedPair {
-                return Err(format!(
-                    "expected an aligned-pair snapshot, got a {} snapshot",
-                    kind.name()
-                ));
-            }
-        }
-        FORMAT_VERSION_V2 => {}
-        other => {
-            return Err(
-                SnapshotError::UnsupportedVersion(other).to_string() + " (transfer rejected)"
-            )
-        }
+    match snapshot::peek_version_bytes(bytes) {
+        Ok(FORMAT_VERSION_V2) => Ok(()),
+        Ok(other) => Err(format!(
+            "{} (transfer rejected)",
+            SnapshotError::UnsupportedVersion(other)
+        )),
+        Err(e) => Err(format!("bad snapshot framing: {e}")),
     }
-    Ok(version)
 }
 
-/// The on-disk half of v2 validation: opens the file as an arena
+/// The on-disk half of validation: opens the file as an arena
 /// (mmap-backed — no heap copy of the image) and validates the whole
 /// section table, every per-section checksum, and the snapshot kind.
-fn validate_v2_file(path: &Path) -> Result<(), String> {
-    let arena = SnapshotArena::open(path).map_err(|e| format!("bad v2 snapshot: {e}"))?;
+fn validate_file(path: &Path) -> Result<(), String> {
+    let arena = SnapshotArena::open(path).map_err(|e| format!("bad snapshot: {e}"))?;
     if arena.kind() != SnapshotKind::AlignedPair {
         return Err(format!(
             "expected an aligned-pair snapshot, got a {} snapshot",
@@ -168,18 +153,13 @@ fn validate_v2_file(path: &Path) -> Result<(), String> {
 
 /// Validates a snapshot file on disk exactly as a transfer would be:
 /// the advertised content checksum must match, and the bytes must parse
-/// as a well-formed **aligned-pair** snapshot of a supported format —
-/// v1 framing (magic, version, kind, length, payload checksum) or the
-/// v2 section table (per-section bounds and checksums). Returns the
-/// format version.
-pub fn validate_snapshot_file(path: &Path, expected_checksum: u64) -> Result<u32, String> {
+/// as a well-formed **aligned-pair** snapshot (section table, per-section
+/// bounds and checksums).
+pub fn validate_snapshot_file(path: &Path, expected_checksum: u64) -> Result<(), String> {
     let bytes = std::fs::read(path).map_err(|e| format!("reading transfer: {e}"))?;
-    let version = validate_bytes(&bytes, expected_checksum)?;
+    validate_bytes(&bytes, expected_checksum)?;
     drop(bytes);
-    if version == FORMAT_VERSION_V2 {
-        validate_v2_file(path)?;
-    }
-    Ok(version)
+    validate_file(path)
 }
 
 /// What one [`SyncEngine::sync_once`] cycle did.
@@ -704,11 +684,10 @@ impl SyncEngine {
             Some(Err(_)) => return Err("unparseable transfer ETag".into()),
             None => entry.checksum.expect("caller checked"),
         };
-        // Checksum and v1 framing are validated on the bytes in hand —
-        // a bad transfer is rejected before anything touches disk; the
-        // v2 section table is validated off the temp file via mmap, so
-        // the image is never duplicated in memory.
-        let version = validate_bytes(&response.body, expected)?;
+        // Checksum and format are validated on the bytes in hand; the
+        // section table is validated off the temp file via mmap, so the
+        // image is never duplicated in memory.
+        validate_bytes(&response.body, expected)?;
         let path = self.pair_path(&entry.name);
         let tmp = self
             .dest
@@ -716,9 +695,7 @@ impl SyncEngine {
         let install = || -> Result<(), String> {
             std::fs::write(&tmp, &response.body)
                 .map_err(|e| format!("writing {}: {e}", tmp.display()))?;
-            if version == FORMAT_VERSION_V2 {
-                validate_v2_file(&tmp)?;
-            }
+            validate_file(&tmp)?;
             std::fs::rename(&tmp, &path)
                 .map_err(|e| format!("installing {}: {e}", path.display()))?;
             Ok(())
@@ -818,14 +795,14 @@ mod tests {
         let err = validate_snapshot_file(&garbage, sum ^ 1).unwrap_err();
         assert!(err.contains("checksum mismatch"), "{err}");
 
-        // A well-formed v1 snapshot of the wrong kind (single KB).
+        // A well-formed snapshot of the wrong kind (single KB).
         let kb = {
             let mut b = paris_kb::KbBuilder::new("k");
             b.add_fact("http://a/x", "http://a/r", "http://a/y");
             b.build()
         };
         let kb_snap = dir.join("kb.snap");
-        snapshot::save_kb(&kb, &kb_snap).unwrap();
+        paris_kb::snapshot_v2::save_kb_v2(&kb, &kb_snap).unwrap();
         let sum = checksum_v2(&std::fs::read(&kb_snap).unwrap());
         let err = validate_snapshot_file(&kb_snap, sum).unwrap_err();
         assert!(err.contains("aligned-pair"), "{err}");

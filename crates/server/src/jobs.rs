@@ -14,8 +14,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use paris_core::{AlignedPairSnapshot, Aligner, AssignmentSketch, OwnedAlignment, ParisConfig};
-use paris_kb::snapshot::load_kb;
+use paris_core::{
+    AlignedPairSnapshot, Aligner, AssignmentSketch, MappedPairSnapshot, OwnedAlignment, ParisConfig,
+};
+use paris_kb::MappedKbSnapshot;
 use paris_obs::series::RunSeries;
 use paris_obs::span::{Span, SpanCollector, SpanStore, TraceId};
 
@@ -327,8 +329,13 @@ fn run_job(
 ) -> Result<(JobOutcome, AssignmentSketch), String> {
     let t0 = Instant::now();
     let mut load = collector.begin("load_snapshots");
-    let kb1 = load_kb(&request.left).map_err(|e| format!("loading {}: {e}", request.left))?;
-    let kb2 = load_kb(&request.right).map_err(|e| format!("loading {}: {e}", request.right))?;
+    let load_kb = |path: &str| {
+        MappedKbSnapshot::open(path)
+            .map(|snap| snap.kb().to_kb())
+            .map_err(|e| format!("loading {path}: {e}"))
+    };
+    let kb1 = load_kb(&request.left)?;
+    let kb2 = load_kb(&request.right)?;
     load.attr_int("entities_kb1", kb1.num_entities() as u64);
     load.attr_int("entities_kb2", kb2.num_entities() as u64);
     collector.finish(load);
@@ -365,8 +372,7 @@ fn run_job(
 
     if let Some(out) = &request.out {
         let save = collector.begin("save_snapshot");
-        let saved = AlignedPairSnapshot::new(kb1, kb2, owned)
-            .save(out)
+        let saved = MappedPairSnapshot::save_v2(&AlignedPairSnapshot::new(kb1, kb2, owned), out)
             .map_err(|e| format!("writing {out}: {e}"));
         collector.finish(save);
         saved?;
@@ -377,7 +383,7 @@ fn run_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paris_kb::snapshot::save_kb;
+    use paris_kb::snapshot_v2::save_kb_v2;
     use paris_kb::KbBuilder;
     use paris_rdf::Literal;
     use std::time::Duration;
@@ -413,8 +419,8 @@ mod tests {
         let left = dir.join("left.snap");
         let right = dir.join("right.snap");
         let out = dir.join("pair.snap");
-        save_kb(&tiny_kb("a"), &left).unwrap();
-        save_kb(&tiny_kb("b"), &right).unwrap();
+        save_kb_v2(&tiny_kb("a"), &left).unwrap();
+        save_kb_v2(&tiny_kb("b"), &right).unwrap();
 
         let store = Arc::new(JobStore::new());
         let id = store.submit(JobRequest {
@@ -430,8 +436,8 @@ mod tests {
             }
             other => panic!("unexpected state {other:?}"),
         }
-        let pair = AlignedPairSnapshot::load(&out).unwrap();
-        assert_eq!(pair.alignment.instance_pairs(&pair.kb1).len(), 4);
+        let pair = MappedPairSnapshot::open(&out).unwrap();
+        assert_eq!(pair.alignment().aligned_instances(pair.kb1()), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -441,8 +447,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let left = dir.join("left.snap");
         let right = dir.join("right.snap");
-        save_kb(&tiny_kb("a"), &left).unwrap();
-        save_kb(&tiny_kb("b"), &right).unwrap();
+        save_kb_v2(&tiny_kb("a"), &left).unwrap();
+        save_kb_v2(&tiny_kb("b"), &right).unwrap();
 
         let store = Arc::new(JobStore::new());
         let ids: Vec<u64> = (0..10)

@@ -15,22 +15,17 @@
 //! directory; `paris serve FILE.snap` is a one-pair catalog) and routes
 //! `/pairs/<name>/{sameas,neighbors,stats,reload,healthz}`; the bare
 //! legacy routes alias the *default* pair (the one named `default`, or
-//! the alphabetically first). Pairs load **lazily** on first hit:
-//!
-//! * **v1 snapshots** decode into owned images. Their heap weight is
-//!   accounted against the `--max-resident` budget, and the
-//!   least-recently-used decoded image is evicted (and transparently
-//!   re-loaded on the next hit) when the budget overflows.
-//! * **v2 snapshots** open as mmap-backed arenas ([`PairImage::Mapped`])
-//!   read in place — the OS page cache owns the bytes, so they cost the
-//!   budget nothing, are never evicted, and cold sections never enter
-//!   this process's resident set at all.
+//! the alphabetically first). Pairs open **lazily** on first hit, as
+//! mmap-backed arenas ([`PairImage`]) read in place — the OS page cache
+//! owns the bytes, so an open pair costs this process no heap, needs no
+//! eviction policy, and its cold sections never enter the resident set
+//! at all.
 //!
 //! ## Hot reload, per pair
 //!
 //! Every pair carries its own monotonic **generation** (bumped by each
-//! image install: first load, explicit reload, watch reload, re-load
-//! after eviction). Each request clones one `Arc` to its pair's current
+//! image install: first load, explicit reload, watch reload). Each
+//! request clones one `Arc` to its pair's current
 //! image and answers entirely from it, so `POST /pairs/<name>/reload`
 //! (or the `--watch` mtime re-check, which also discovers added and
 //! removed catalog files) swaps the pointer atomically — in-flight
@@ -111,7 +106,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::{Duration, Instant, SystemTime};
 
-use paris_core::{explain_stored, AlignedPairSnapshot, PairImage, PairSide, QualitySummary};
+use paris_core::{
+    explain_stored, AlignedPairSnapshot, MappedPairSnapshot, PairImage, PairSide, QualitySummary,
+};
 use paris_kb::snapshot_v2::checksum_v2;
 use paris_kb::{snapshot, EntityKind, KbStats};
 use paris_obs as obs;
@@ -125,6 +122,10 @@ pub use jobs::{JobOutcome, JobState};
 
 /// The crate version reported by `/healthz` and `paris version`.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
+
+/// The snapshot format every image is served from, as the JSON answers
+/// and the build-info labels spell it.
+const SNAPSHOT_FORMAT: &str = "v2";
 
 /// Server tuning knobs.
 ///
@@ -154,10 +155,6 @@ pub struct ServerConfig {
     /// Catalog mode: serve every `*.snap` in this directory as a named
     /// pair (mutually exclusive with `snapshot_path`).
     pub catalog_dir: Option<PathBuf>,
-    /// Budget (bytes) for *decoded* v1 images, LRU-evicted when
-    /// exceeded. Mapped v2 arenas cost nothing against it. `None` means
-    /// unbounded.
-    pub max_resident_bytes: Option<u64>,
     /// Poll snapshot files for modification-time changes at this
     /// interval and hot-swap automatically — the daemon equivalent of a
     /// SIGHUP re-check (`std` offers no portable signal handling). In
@@ -208,7 +205,6 @@ impl Default for ServerConfig {
             enable_jobs: true,
             snapshot_path: None,
             catalog_dir: None,
-            max_resident_bytes: None,
             watch_interval: None,
             replica_of: None,
             sync_interval: Duration::from_secs(1),
@@ -239,25 +235,19 @@ struct LoadedImage {
     kb2_stats_json: String,
     /// The pair's generation this image was installed as.
     generation: u64,
-    /// Heap weight charged against `--max-resident`: the file size for a
-    /// decoded v1 image (a close proxy for its decoded heap), zero for a
-    /// mapped v2 arena (the page cache owns those bytes).
-    resident_bytes: u64,
 }
 
 impl LoadedImage {
-    fn new(image: PairImage, generation: u64, file_bytes: u64) -> Self {
+    fn new(image: PairImage, generation: u64) -> Self {
         let aligned_instances = image.aligned_instances();
         let kb1_stats_json = kb_stats_json(&image.kb_stats(PairSide::Kb1));
         let kb2_stats_json = kb_stats_json(&image.kb_stats(PairSide::Kb2));
-        let resident_bytes = if image.is_mapped() { 0 } else { file_bytes };
         LoadedImage {
             image,
             aligned_instances,
             kb1_stats_json,
             kb2_stats_json,
             generation,
-            resident_bytes,
         }
     }
 }
@@ -291,9 +281,9 @@ struct PairState {
     name: String,
     /// Backing snapshot file. `None` only for images handed to
     /// [`Server::bind`] directly (tests/benches); such pairs cannot
-    /// reload and are never evicted.
+    /// reload.
     path: Option<PathBuf>,
-    /// The current image; `None` before the first hit or after eviction.
+    /// The current image; `None` before the first hit.
     slot: RwLock<Option<Arc<LoadedImage>>>,
     /// Serializes loads/reloads of this pair (readers never wait on it).
     load_lock: Mutex<()>,
@@ -302,8 +292,6 @@ struct PairState {
     generation: AtomicU64,
     /// Successful explicit + watch reloads.
     reloads: AtomicU64,
-    /// LRU tick of the last request that touched this pair.
-    last_used: AtomicU64,
     /// Signature of `path` as of the last load from it.
     last_signature: Mutex<Option<(SystemTime, u64)>>,
     /// Manifest cache: checksum/version/length of the backing file.
@@ -319,7 +307,6 @@ impl PairState {
             load_lock: Mutex::new(()),
             generation: AtomicU64::new(0),
             reloads: AtomicU64::new(0),
-            last_used: AtomicU64::new(0),
             last_signature: Mutex::new(None),
             content_cache: Mutex::new(None),
         }
@@ -379,23 +366,18 @@ impl PairState {
     }
 }
 
-/// The pair catalog: names → states, plus the eviction machinery.
+/// The pair catalog: names → states.
 struct Catalog {
     pairs: RwLock<BTreeMap<String, Arc<PairState>>>,
     /// Name the bare legacy routes alias.
     default_name: RwLock<String>,
     /// Catalog directory (rescanned by `--watch`), `None` in single mode.
     dir: Option<PathBuf>,
-    max_resident: Option<u64>,
-    /// LRU clock.
-    clock: AtomicU64,
     /// Telemetry: image requests answered from the resident slot.
     image_hits: Arc<obs::Counter>,
-    /// Telemetry: images loaded from disk (first hit, reload, or re-load
-    /// after eviction) — the cache-miss side of `image_hits`.
+    /// Telemetry: images loaded from disk (first hit or reload) — the
+    /// cache-miss side of `image_hits`.
     image_loads: Arc<obs::Counter>,
-    /// Telemetry: decoded images evicted under `--max-resident`.
-    evictions: Arc<obs::Counter>,
 }
 
 impl Catalog {
@@ -403,17 +385,13 @@ impl Catalog {
         pairs: BTreeMap<String, Arc<PairState>>,
         default_name: String,
         dir: Option<PathBuf>,
-        max_resident: Option<u64>,
     ) -> Catalog {
         Catalog {
             pairs: RwLock::new(pairs),
             default_name: RwLock::new(default_name),
             dir,
-            max_resident,
-            clock: AtomicU64::new(0),
             image_hits: Arc::default(),
             image_loads: Arc::default(),
-            evictions: Arc::default(),
         }
     }
 
@@ -434,15 +412,9 @@ impl Catalog {
         self.pair(&name)
     }
 
-    fn touch(&self, pair: &PairState) {
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        pair.last_used.store(tick, Ordering::Relaxed);
-    }
-
-    /// The pair's current image, loading it on first hit (or after an
-    /// eviction). Returns the human-readable load error on failure.
+    /// The pair's current image, loading it on first hit. Returns the
+    /// human-readable load error on failure.
     fn image_of(&self, pair: &Arc<PairState>) -> Result<Arc<LoadedImage>, String> {
-        self.touch(pair);
         if let Some(img) = pair.current() {
             self.image_hits.inc();
             return Ok(img);
@@ -462,19 +434,16 @@ impl Catalog {
         let signature = signature_of(&path);
         let loaded = self.load_from(pair, &path)?;
         *pair.last_signature.lock().expect("signature lock poisoned") = signature;
-        drop(_serialized);
-        self.enforce_budget(&pair.name);
         Ok(loaded)
     }
 
     /// Loads `path` and installs it as the pair's next generation.
     /// Callers must hold the pair's `load_lock`.
     fn load_from(&self, pair: &PairState, path: &Path) -> Result<Arc<LoadedImage>, String> {
-        let file_bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
         let image = PairImage::load(path)
             .map_err(|e| format!("cannot load snapshot {}: {e}", path.display()))?;
         let generation = pair.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        let loaded = Arc::new(LoadedImage::new(image, generation, file_bytes));
+        let loaded = Arc::new(LoadedImage::new(image, generation));
         *pair.slot.write().expect("pair slot poisoned") = Some(Arc::clone(&loaded));
         self.image_loads.inc();
         Ok(loaded)
@@ -502,57 +471,7 @@ impl Catalog {
             }
         };
         pair.reloads.fetch_add(1, Ordering::Relaxed);
-        drop(_serialized);
-        self.touch(pair);
-        self.enforce_budget(&pair.name);
         Ok(loaded)
-    }
-
-    /// Evicts least-recently-used *decoded* images until the resident
-    /// total fits the budget. The pair named `keep` (the one just
-    /// loaded) and all mapped/pathless images are exempt.
-    fn enforce_budget(&self, keep: &str) {
-        let Some(budget) = self.max_resident else {
-            return;
-        };
-        loop {
-            let mut total = 0u64;
-            let mut lru: Option<(u64, Arc<PairState>)> = None;
-            {
-                let pairs = self.pairs.read().expect("catalog lock poisoned");
-                for pair in pairs.values() {
-                    let Some(img) = pair.current() else { continue };
-                    if img.resident_bytes == 0 {
-                        continue; // mapped: the page cache owns it
-                    }
-                    total += img.resident_bytes;
-                    if pair.name != keep && pair.path.is_some() {
-                        let used = pair.last_used.load(Ordering::Relaxed);
-                        if lru.as_ref().is_none_or(|&(u, _)| used < u) {
-                            lru = Some((used, Arc::clone(pair)));
-                        }
-                    }
-                }
-            }
-            if total <= budget {
-                return;
-            }
-            let Some((_, victim)) = lru else {
-                return; // nothing evictable left
-            };
-            let evicted = victim
-                .slot
-                .write()
-                .expect("pair slot poisoned")
-                .take()
-                .map(|img| img.resident_bytes)
-                .unwrap_or(0);
-            self.evictions.inc();
-            eprintln!(
-                "catalog: evicted decoded pair '{}' ({evicted} resident bytes) under --max-resident",
-                victim.name
-            );
-        }
     }
 }
 
@@ -616,15 +535,9 @@ impl ServeState {
         );
         metrics.registry.register_counter(
             "paris_catalog_image_loads_total",
-            "Pair images loaded from disk (first hit, reload, or re-load after eviction).",
+            "Pair images loaded from disk (first hit or reload).",
             &[],
             &catalog.image_loads,
-        );
-        metrics.registry.register_counter(
-            "paris_catalog_evictions_total",
-            "Decoded pair images evicted under --max-resident.",
-            &[],
-            &catalog.evictions,
         );
         // The build-info gauge: constant 1, with the interesting facts in
         // the labels (the Prometheus `*_build_info` convention).
@@ -635,12 +548,7 @@ impl ServeState {
                 "Constant 1; version and supported snapshot/delta formats as labels.",
                 &[
                     ("version", VERSION),
-                    (
-                        "snapshot_formats",
-                        &snapshot::SUPPORTED_SNAPSHOT_VERSIONS
-                            .map(|v| format!("v{v}"))
-                            .join(","),
-                    ),
+                    ("snapshot_formats", SNAPSHOT_FORMAT),
                     (
                         "delta_format",
                         &format!("v{}", snapshot::DELTA_FORMAT_VERSION),
@@ -729,12 +637,6 @@ impl ServeState {
                 labels,
             )
             .set(u64::from(image.is_some()));
-            reg.gauge(
-                "paris_pair_resident_bytes",
-                "Heap bytes the pair's decoded image charges against --max-resident.",
-                labels,
-            )
-            .set(image.map(|i| i.resident_bytes).unwrap_or(0));
         }
         reg.gauge("paris_pairs", "Pairs in the catalog.", &[])
             .set(pairs.len() as u64);
@@ -957,15 +859,18 @@ impl Server {
         }
     }
 
-    /// Binds a single-pair server around an already-decoded snapshot
-    /// (the pre-catalog API, kept for tests, benches, and embedding).
+    /// Binds a single-pair server around a heap snapshot by encoding it
+    /// into an in-memory image (the pre-catalog API, kept for tests,
+    /// benches, and embedding).
     pub fn bind(snapshot: AlignedPairSnapshot, config: ServerConfig) -> std::io::Result<Server> {
-        Server::bind_image(PairImage::Decoded(Box::new(snapshot)), config)
+        let image = MappedPairSnapshot::from_bytes(MappedPairSnapshot::encode(&snapshot))
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        Server::bind_image(image.into(), config)
     }
 
-    /// Binds a single-pair server around a loaded [`PairImage`] (decoded
-    /// v1 or mapped v2). The pair is named after the snapshot file, or
-    /// `default` when none is configured.
+    /// Binds a single-pair server around a loaded [`PairImage`]. The
+    /// pair is named after the snapshot file, or `default` when none is
+    /// configured.
     pub fn bind_image(image: PairImage, config: ServerConfig) -> std::io::Result<Server> {
         let path = config.snapshot_path.clone();
         let name = path
@@ -975,25 +880,19 @@ impl Server {
             .filter(|n| valid_pair_name(n))
             .unwrap_or("default")
             .to_owned();
-        let file_bytes = path
-            .as_deref()
-            .and_then(|p| std::fs::metadata(p).ok())
-            .map(|m| m.len())
-            .unwrap_or(0);
         let pair = PairState {
             name: name.clone(),
-            slot: RwLock::new(Some(Arc::new(LoadedImage::new(image, 1, file_bytes)))),
+            slot: RwLock::new(Some(Arc::new(LoadedImage::new(image, 1)))),
             load_lock: Mutex::new(()),
             generation: AtomicU64::new(1),
             reloads: AtomicU64::new(0),
-            last_used: AtomicU64::new(0),
             last_signature: Mutex::new(path.as_deref().and_then(signature_of)),
             content_cache: Mutex::new(None),
             path,
         };
         let mut pairs = BTreeMap::new();
         pairs.insert(name.clone(), Arc::new(pair));
-        let catalog = Catalog::new(pairs, name, None, config.max_resident_bytes);
+        let catalog = Catalog::new(pairs, name, None);
         Server::bind_with_catalog(catalog, config)
     }
 
@@ -1021,7 +920,7 @@ impl Server {
             pairs.insert(name.clone(), Arc::new(PairState::unloaded(name, path)));
         }
         let default_name = pick_default(&pairs);
-        let catalog = Catalog::new(pairs, default_name, Some(dir), config.max_resident_bytes);
+        let catalog = Catalog::new(pairs, default_name, Some(dir));
         Server::bind_with_catalog(catalog, config)
     }
 
@@ -1697,12 +1596,7 @@ fn healthz(state: &ServeState, _req: &Request) -> Response {
                 "primary"
             },
         )
-        .str(
-            "snapshot_formats",
-            &snapshot::SUPPORTED_SNAPSHOT_VERSIONS
-                .map(|v| format!("v{v}"))
-                .join(","),
-        )
+        .str("snapshot_formats", SNAPSHOT_FORMAT)
         .str(
             "delta_formats",
             &format!("v{}", snapshot::DELTA_FORMAT_VERSION),
@@ -1720,9 +1614,9 @@ fn healthz(state: &ServeState, _req: &Request) -> Response {
 
 /// `GET /v1/metrics`: the whole instrument set — request counts and
 /// latency histograms per route class, status classes, per-pair request
-/// counts, ETag-cache and catalog-LRU outcomes, replication transfer
-/// totals, and the sampled gauges (pair generations, resident bytes,
-/// replication lag), refreshed at scrape time. Prometheus text
+/// counts, ETag-cache and catalog-load outcomes, replication transfer
+/// totals, and the sampled gauges (pair generations, replication lag),
+/// refreshed at scrape time. Prometheus text
 /// exposition by default; `?format=json` renders the same registry as
 /// one JSON document inside the uniform envelope.
 fn serve_metrics(state: &ServeState, req: &Request) -> Response {
@@ -1857,14 +1751,7 @@ fn pair_healthz(pair: &Arc<PairState>) -> Response {
         .int("reloads", pair.reloads.load(Ordering::Relaxed));
     if let Some(img) = image {
         obj = obj
-            .str(
-                "format",
-                if img.image.format_version() == 2 {
-                    "v2"
-                } else {
-                    "v1"
-                },
-            )
+            .str("format", SNAPSHOT_FORMAT)
             .bool("mapped", img.image.is_mapped());
     }
     ok(obj.build())
@@ -1898,16 +1785,8 @@ fn pair_stats(state: &ServeState, _req: &Request, pair: &Arc<PairState>) -> Resp
         .int("literal_pairs", image.image.literal_pairs() as u64)
         .int("iterations", image.image.iterations_len() as u64)
         .bool("converged", image.image.converged())
-        .str(
-            "format",
-            if image.image.format_version() == 2 {
-                "v2"
-            } else {
-                "v1"
-            },
-        )
+        .str("format", SNAPSHOT_FORMAT)
         .bool("mapped", image.image.is_mapped())
-        .int("resident_bytes", image.resident_bytes)
         .int("generation", image.generation)
         .int("reloads", pair.reloads.load(Ordering::Relaxed))
         .int("jobs_submitted", state.jobs.submitted())
@@ -1938,16 +1817,8 @@ fn list_pairs(state: &ServeState, _req: &Request) -> Response {
             .int("reloads", pair.reloads.load(Ordering::Relaxed));
         if let Some(img) = &image {
             obj = obj
-                .str(
-                    "format",
-                    if img.image.format_version() == 2 {
-                        "v2"
-                    } else {
-                        "v1"
-                    },
-                )
+                .str("format", SNAPSHOT_FORMAT)
                 .bool("mapped", img.image.is_mapped())
-                .int("resident_bytes", img.resident_bytes)
                 .int("aligned_instances", img.aligned_instances as u64);
         }
         obj.build()
@@ -2176,8 +2047,7 @@ fn neighbors(state: &ServeState, req: &Request, pair: &Arc<PairState>) -> Respon
 
 /// `GET /v1/pairs/<name>/explain?left=…&right=…`: *why* does the stored
 /// model believe (or not believe) `left ≡ right`? Answers with the
-/// Eq. 13 evidence read from the serving image — decoded v1 and mapped
-/// v2 images produce byte-identical bodies — plus the assignment
+/// Eq. 13 evidence read from the serving image, plus the assignment
 /// decision exactly as `sameas` would serve it. The `score` is
 /// `1 − ∏ factorᵢ` over the listed evidence, multiplied in listed
 /// order, so a client re-folding the served factors reproduces it bit
@@ -2724,7 +2594,7 @@ fn debug_runs(state: &ServeState) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paris_core::{Aligner, MappedPairSnapshot, OwnedAlignment, ParisConfig};
+    use paris_core::{Aligner, OwnedAlignment, ParisConfig};
     use paris_kb::KbBuilder;
     use paris_rdf::Literal;
 
@@ -2765,14 +2635,14 @@ mod tests {
         let pair = PairState {
             name: name.clone(),
             slot: RwLock::new(Some(Arc::new(LoadedImage::new(
-                PairImage::Decoded(Box::new(snapshot)),
+                MappedPairSnapshot::from_bytes(MappedPairSnapshot::encode(&snapshot))
+                    .unwrap()
+                    .into(),
                 1,
-                0,
             )))),
             load_lock: Mutex::new(()),
             generation: AtomicU64::new(1),
             reloads: AtomicU64::new(0),
-            last_used: AtomicU64::new(0),
             last_signature: Mutex::new(None),
             content_cache: Mutex::new(None),
             path,
@@ -2780,7 +2650,7 @@ mod tests {
         let mut pairs = BTreeMap::new();
         pairs.insert(name.clone(), Arc::new(pair));
         ServeState::new(
-            Catalog::new(pairs, name, None, None),
+            Catalog::new(pairs, name, None),
             true,
             None,
             LogFormat::Off,
@@ -2793,7 +2663,7 @@ mod tests {
     }
 
     /// A lazily-loaded catalog over on-disk snapshot files.
-    fn catalog_state(entries: &[(&str, &Path)], max_resident: Option<u64>) -> ServeState {
+    fn catalog_state(entries: &[(&str, &Path)]) -> ServeState {
         let mut pairs = BTreeMap::new();
         for (name, path) in entries {
             pairs.insert(
@@ -2803,7 +2673,7 @@ mod tests {
         }
         let default_name = pick_default(&pairs);
         ServeState::new(
-            Catalog::new(pairs, default_name, None, max_resident),
+            Catalog::new(pairs, default_name, None),
             true,
             None,
             LogFormat::Off,
@@ -2916,7 +2786,7 @@ mod tests {
             body.contains(&format!("\"version\":\"{VERSION}\"")),
             "{body}"
         );
-        assert!(body.contains("\"snapshot_formats\":\"v1,v2\""), "{body}");
+        assert!(body.contains("\"snapshot_formats\":\"v2\""), "{body}");
         let stats = route(&s, &get("/stats"));
         assert_eq!(stats.status, 200);
         let body = String::from_utf8(stats.body).unwrap();
@@ -3065,7 +2935,7 @@ mod tests {
         let dir = std::env::temp_dir().join("paris_server_reload_unit");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("pair.snap");
-        tiny_snapshot().save(&path).unwrap();
+        MappedPairSnapshot::save_v2(&tiny_snapshot(), &path).unwrap();
 
         let s = state();
         let r = route(
@@ -3089,7 +2959,7 @@ mod tests {
         let dir = std::env::temp_dir().join("paris_server_reload_source_unit");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("pair.snap");
-        tiny_snapshot().save(&path).unwrap();
+        MappedPairSnapshot::save_v2(&tiny_snapshot(), &path).unwrap();
 
         let s = state_with_pair(tiny_snapshot(), Some(path.clone()));
         assert_eq!(route(&s, &post_reload("/reload", b"")).status, 200);
@@ -3117,7 +2987,7 @@ mod tests {
         let dir = std::env::temp_dir().join("paris_server_reload_nojobs_unit");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("pair.snap");
-        tiny_snapshot().save(&path).unwrap();
+        MappedPairSnapshot::save_v2(&tiny_snapshot(), &path).unwrap();
 
         let mut s = state_with_pair(tiny_snapshot(), Some(path.clone()));
         s.jobs_enabled = false;
@@ -3138,10 +3008,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let a = dir.join("alpha.snap");
         let b = dir.join("beta.snap");
-        snapshot_of(2).save(&a).unwrap();
+        MappedPairSnapshot::save_v2(&snapshot_of(2), &a).unwrap();
         MappedPairSnapshot::save_v2(&snapshot_of(4), &b).unwrap();
 
-        let s = catalog_state(&[("alpha", &a), ("beta", &b)], None);
+        let s = catalog_state(&[("alpha", &a), ("beta", &b)]);
         // Nothing loaded yet.
         let listing = String::from_utf8(route(&s, &get("/pairs")).body).unwrap();
         assert!(listing.contains("\"default\":\"alpha\""), "{listing}");
@@ -3183,66 +3053,6 @@ mod tests {
         // Catalog pairs reject client-named reload paths.
         let r = route(&s, &post_reload("/pairs/alpha/reload", b"path=/tmp/x.snap"));
         assert_eq!(r.status, 400);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn max_resident_evicts_lru_decoded_images_but_not_mapped() {
-        let dir = std::env::temp_dir().join("paris_server_evict_unit");
-        std::fs::create_dir_all(&dir).unwrap();
-        let a = dir.join("a.snap");
-        let b = dir.join("b.snap");
-        let c = dir.join("c.snap");
-        snapshot_of(2).save(&a).unwrap();
-        snapshot_of(2).save(&b).unwrap();
-        MappedPairSnapshot::save_v2(&snapshot_of(2), &c).unwrap();
-
-        // Budget fits one decoded image at a time.
-        let budget = std::fs::metadata(&a).unwrap().len() + 16;
-        let s = catalog_state(&[("a", &a), ("b", &b), ("c", &c)], Some(budget));
-
-        assert_eq!(
-            route(&s, &get("/pairs/a/sameas?iri=http://a/p1")).status,
-            200
-        );
-        assert!(s.catalog.pair("a").unwrap().current().is_some());
-
-        // Loading b pushes the total over budget; a is the LRU victim.
-        assert_eq!(
-            route(&s, &get("/pairs/b/sameas?iri=http://a/p1")).status,
-            200
-        );
-        assert!(
-            s.catalog.pair("a").unwrap().current().is_none(),
-            "a evicted"
-        );
-        assert!(s.catalog.pair("b").unwrap().current().is_some());
-
-        // The mapped pair loads without evicting anything.
-        assert_eq!(
-            route(&s, &get("/pairs/c/sameas?iri=http://a/p1")).status,
-            200
-        );
-        assert!(
-            s.catalog.pair("b").unwrap().current().is_some(),
-            "mapped load evicts nothing"
-        );
-        assert!(s.catalog.pair("c").unwrap().current().is_some());
-
-        // An evicted pair transparently reloads on the next hit, with a
-        // bumped generation (a fresh image was installed).
-        assert_eq!(
-            route(&s, &get("/pairs/a/sameas?iri=http://a/p1")).status,
-            200
-        );
-        assert_eq!(
-            s.catalog
-                .pair("a")
-                .unwrap()
-                .generation
-                .load(Ordering::SeqCst),
-            2
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -3288,10 +3098,10 @@ mod tests {
         let dir = std::env::temp_dir().join("paris_server_etag_swap_unit");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("pair.snap");
-        snapshot_of(3).save(&path).unwrap();
+        MappedPairSnapshot::save_v2(&snapshot_of(3), &path).unwrap();
         let s = state_with_pair(tiny_snapshot(), Some(path.clone()));
         let before = etag_of(&route(&s, &get("/stats")));
-        snapshot_of(5).save(&path).unwrap();
+        MappedPairSnapshot::save_v2(&snapshot_of(5), &path).unwrap();
         assert_eq!(route(&s, &post_reload("/reload", b"")).status, 200);
         let after = route(&s, &get_with_inm("/stats", &before));
         assert_eq!(after.status, 200, "stale validator must miss");
@@ -3305,9 +3115,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let a = dir.join("alpha.snap");
         let b = dir.join("beta.snap");
-        snapshot_of(2).save(&a).unwrap();
+        MappedPairSnapshot::save_v2(&snapshot_of(2), &a).unwrap();
         MappedPairSnapshot::save_v2(&snapshot_of(3), &b).unwrap();
-        let s = catalog_state(&[("alpha", &a), ("beta", &b)], None);
+        let s = catalog_state(&[("alpha", &a), ("beta", &b)]);
 
         let r = route(&s, &get("/pairs/manifest"));
         assert_eq!(r.status, 200);
@@ -3323,8 +3133,7 @@ mod tests {
             body.contains(&format!("\"checksum\":\"{sum_b:016x}\"")),
             "{body}"
         );
-        assert!(body.contains("\"format\":1"), "{body}");
-        assert!(body.contains("\"format\":2"), "{body}");
+        assert_eq!(body.matches("\"format\":2").count(), 2, "{body}");
         // Not loaded yet: generation 0.
         assert!(body.contains("\"generation\":0"), "{body}");
 
@@ -3362,9 +3171,9 @@ mod tests {
         let dir = std::env::temp_dir().join("paris_server_snapstream_unit");
         std::fs::create_dir_all(&dir).unwrap();
         let a = dir.join("alpha.snap");
-        snapshot_of(2).save(&a).unwrap();
+        MappedPairSnapshot::save_v2(&snapshot_of(2), &a).unwrap();
         let file_bytes = std::fs::read(&a).unwrap();
-        let s = catalog_state(&[("alpha", &a)], None);
+        let s = catalog_state(&[("alpha", &a)]);
 
         let r = route(&s, &get("/pairs/alpha/snapshot"));
         assert_eq!(r.status, 200);
@@ -3418,124 +3227,15 @@ mod tests {
     }
 
     #[test]
-    fn max_resident_exact_limit_is_not_an_eviction() {
-        let dir = std::env::temp_dir().join("paris_server_evict_exact_unit");
-        std::fs::create_dir_all(&dir).unwrap();
-        let a = dir.join("a.snap");
-        let b = dir.join("b.snap");
-        snapshot_of(2).save(&a).unwrap();
-        snapshot_of(2).save(&b).unwrap();
-        let (size_a, size_b) = (
-            std::fs::metadata(&a).unwrap().len(),
-            std::fs::metadata(&b).unwrap().len(),
-        );
-
-        // Budget exactly equal to both images: the total *fits*, nothing
-        // may be evicted (the budget check is >, not >=).
-        let s = catalog_state(&[("a", &a), ("b", &b)], Some(size_a + size_b));
-        assert_eq!(
-            route(&s, &get("/pairs/a/sameas?iri=http://a/p1")).status,
-            200
-        );
-        assert_eq!(
-            route(&s, &get("/pairs/b/sameas?iri=http://a/p1")).status,
-            200
-        );
-        assert!(s.catalog.pair("a").unwrap().current().is_some());
-        assert!(s.catalog.pair("b").unwrap().current().is_some());
-
-        // One byte less, and the LRU pair goes.
-        let s = catalog_state(&[("a", &a), ("b", &b)], Some(size_a + size_b - 1));
-        assert_eq!(
-            route(&s, &get("/pairs/a/sameas?iri=http://a/p1")).status,
-            200
-        );
-        assert_eq!(
-            route(&s, &get("/pairs/b/sameas?iri=http://a/p1")).status,
-            200
-        );
-        assert!(
-            s.catalog.pair("a").unwrap().current().is_none(),
-            "a evicted"
-        );
-        assert!(s.catalog.pair("b").unwrap().current().is_some());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn max_resident_never_evicts_the_pair_just_served() {
-        let dir = std::env::temp_dir().join("paris_server_evict_tiny_unit");
-        std::fs::create_dir_all(&dir).unwrap();
-        let a = dir.join("a.snap");
-        snapshot_of(2).save(&a).unwrap();
-        // A budget smaller than any single image: the pair answering the
-        // current request is exempt, so requests still succeed.
-        let s = catalog_state(&[("a", &a)], Some(1));
-        for _ in 0..3 {
-            assert_eq!(
-                route(&s, &get("/pairs/a/sameas?iri=http://a/p1")).status,
-                200
-            );
-        }
-        assert!(s.catalog.pair("a").unwrap().current().is_some());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn refault_after_evict_cycles_lru_correctly() {
-        let dir = std::env::temp_dir().join("paris_server_evict_cycle_unit");
-        std::fs::create_dir_all(&dir).unwrap();
-        let a = dir.join("a.snap");
-        let b = dir.join("b.snap");
-        snapshot_of(2).save(&a).unwrap();
-        snapshot_of(2).save(&b).unwrap();
-        let budget = std::fs::metadata(&a).unwrap().len() + 16;
-        let s = catalog_state(&[("a", &a), ("b", &b)], Some(budget));
-
-        // a in, b in (a evicted), a refaults (b evicted), b refaults…
-        // Each refault installs a fresh image and bumps the generation.
-        for (hit, evicted) in [("a", ""), ("b", "a"), ("a", "b"), ("b", "a")] {
-            assert_eq!(
-                route(&s, &get(&format!("/pairs/{hit}/sameas?iri=http://a/p1"))).status,
-                200
-            );
-            assert!(s.catalog.pair(hit).unwrap().current().is_some(), "{hit}");
-            if !evicted.is_empty() {
-                assert!(
-                    s.catalog.pair(evicted).unwrap().current().is_none(),
-                    "{evicted} should be the LRU victim after hitting {hit}"
-                );
-            }
-        }
-        assert_eq!(
-            s.catalog
-                .pair("a")
-                .unwrap()
-                .generation
-                .load(Ordering::SeqCst),
-            2
-        );
-        assert_eq!(
-            s.catalog
-                .pair("b")
-                .unwrap()
-                .generation
-                .load(Ordering::SeqCst),
-            2
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn rescan_removing_the_loaded_default_pair_moves_the_default() {
         let dir = std::env::temp_dir().join("paris_server_rescan_default_unit");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let a = dir.join("alpha.snap");
         let b = dir.join("beta.snap");
-        snapshot_of(2).save(&a).unwrap();
-        snapshot_of(4).save(&b).unwrap();
-        let s = catalog_state(&[("alpha", &a), ("beta", &b)], None);
+        MappedPairSnapshot::save_v2(&snapshot_of(2), &a).unwrap();
+        MappedPairSnapshot::save_v2(&snapshot_of(4), &b).unwrap();
+        let s = catalog_state(&[("alpha", &a), ("beta", &b)]);
 
         // alpha is the default and is *loaded* when its file vanishes.
         assert_eq!(route(&s, &get("/stats")).status, 200);
@@ -3782,12 +3482,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let a = dir.join("a.snap");
-        snapshot_of(2).save(&a).unwrap();
+        MappedPairSnapshot::save_v2(&snapshot_of(2), &a).unwrap();
 
-        let s = catalog_state(&[("a", &a)], None);
+        let s = catalog_state(&[("a", &a)]);
         // Pretend the state is catalog-backed for the rescan.
         let b = dir.join("b.snap");
-        snapshot_of(2).save(&b).unwrap();
+        MappedPairSnapshot::save_v2(&snapshot_of(2), &b).unwrap();
         rescan_catalog(&s.catalog, &dir);
         assert!(s.catalog.pair("b").is_some(), "new file discovered");
 

@@ -6,7 +6,7 @@
 //! classes live in fixed arrays looked up by a `&'static str` scan, and
 //! per-pair counters are created on a pair's first request and cached,
 //! so the steady-state hot path neither allocates nor takes the registry
-//! lock. Gauges (pair generations, resident bytes, replication lag) are
+//! lock. Gauges (pair generations, replication lag) are
 //! refreshed at scrape time instead of being maintained continuously.
 
 use std::collections::HashMap;

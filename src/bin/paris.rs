@@ -9,7 +9,6 @@
 //! paris generate movies --out /tmp/movies            # emit a benchmark pair
 //! paris snapshot left.nt right.nt --out pair.snap    # align once, persist
 //! paris delta pair.snap --add-left new.nt --out v2.snap  # incremental update
-//! paris convert pair.snap --out pair2.snap           # migrate v1 → v2 (mmap)
 //! paris serve pair.snap --addr 127.0.0.1:7070        # serve one alignment
 //! paris serve --catalog snaps/                       # serve a directory of pairs
 //! paris serve --catalog mirror/ --replica-of http://primary:7070
@@ -38,10 +37,9 @@ USAGE:
   paris align <LEFT> <RIGHT> [OPTIONS]
   paris stats <FILE>...
   paris generate <persons|restaurants|encyclopedia|movies> --out <DIR> [--seed N] [--scale N]
-  paris snapshot <LEFT> <RIGHT> --out <FILE.snap> [--format v1|v2] [CONFIG OPTIONS]
-  paris snapshot <FILE> --out <FILE.snap> [--format v1|v2]
+  paris snapshot <LEFT> <RIGHT> --out <FILE.snap> [CONFIG OPTIONS]
+  paris snapshot <FILE> --out <FILE.snap>
   paris ingest <IN.nt> <OUT.snap> [--mem-budget <BYTES>] [--threads N] [--name S] [--tmp <DIR>]
-  paris convert <PAIR.snap> --out <FILE.snap> [--format v1|v2]
   paris delta <PAIR.snap> --out <FILE.snap> [DELTA OPTIONS] [CONFIG OPTIONS]
   paris serve <FILE.snap> [SERVE OPTIONS]
   paris serve --catalog <DIR> [SERVE OPTIONS]
@@ -74,25 +72,24 @@ SNAPSHOT:
   With two inputs: parse both, run the full alignment, and write a
   versioned binary aligned-pair snapshot (KBs + alignment) to --out.
   With one input: write a single-KB snapshot (the unit POST /align jobs
-  consume). Snapshots load in milliseconds — no re-parsing, no re-aligning.
-  --format v1 (default) writes the decode-on-load stream format;
-  --format v2 writes the zero-copy section-table format — for aligned
-  pairs the one `paris serve` opens via mmap without decoding the body
+  consume). Snapshots are zero-copy section-table images: `paris serve`
+  opens an aligned pair via mmap without decoding the body
   (O(validation) startup, page-cache-resident data, built for very
-  large KBs), for a single input the same image `paris ingest` streams
-  out (useful as the heap-path reference to diff an ingest against). CONFIG OPTIONS are the algorithm-configuration subset of ALIGN
-  OPTIONS: --literals, --theta, --truncation, --max-iterations,
+  large KBs), and a single input yields the same image `paris ingest`
+  streams out (useful as the heap-path reference to diff an ingest
+  against). CONFIG OPTIONS are the algorithm-configuration subset of
+  ALIGN OPTIONS: --literals, --theta, --truncation, --max-iterations,
   --threads, --negative-evidence, --propagate-all. Output options
   (--threshold, --sameas, --gold, …) do not apply: the snapshot stores
   all scores.
 
 INGEST:
-  Stream an N-Triples/N-Quads file straight into a single-KB v2 snapshot
+  Stream an N-Triples/N-Quads file straight into a single-KB snapshot
   in bounded memory — the heap `Kb` is never materialized, so the input
   can be far larger than RAM. Parsing is line-parallel (chunks split at
   line boundaries); sorting spills runs to temp files under --mem-budget
   and k-way merges them back. The output is byte-identical to the heap
-  path (`paris snapshot IN --format v2 --out OUT`), so everything that
+  path (`paris snapshot IN --out OUT`), so everything that
   reads single-KB snapshots (POST /v1/align, `paris align`/`snapshot`
   with .snap inputs) works on ingested images unchanged. `.nq`/`.nquads`
   inputs parse as N-Quads (graph labels validated, then discarded).
@@ -102,11 +99,6 @@ INGEST:
   --name <S>              KB name stored in the snapshot
                           [default: input file stem]
   --tmp <DIR>             spill directory [default: the output's]
-
-CONVERT:
-  Re-encode an existing aligned-pair snapshot between format versions
-  (the input version is auto-detected; --format defaults to v2). Answers
-  are bit-identical across formats.
 
 DELTA:
   Apply fact additions/removals to an aligned-pair snapshot and re-align
@@ -129,8 +121,7 @@ DELTA:
 SERVE:
   Serve one aligned-pair snapshot (positional FILE.snap) or a whole
   directory of them (--catalog DIR: every NAME.snap becomes the pair
-  NAME, opened lazily on first hit — v1 files decode, v2 files mmap)
-  over HTTP/1.1. The API is the versioned /v1 namespace; every JSON
+  NAME, opened lazily on first hit via mmap) over HTTP/1.1. The API is the versioned /v1 namespace; every JSON
   answer is enveloped ({\"data\":...} / {\"error\":{code,message}}):
     GET  /v1/pairs                the catalog: names, generations, state
     GET  /v1/pairs/<p>/sameas?iri=I   best match of an instance
@@ -153,8 +144,8 @@ SERVE:
                                   per-pair generation lag)
     GET  /v1/metrics              telemetry: request/route/status counts,
                                   latency histograms (p50/p90/p99), cache
-                                  + eviction counters, per-pair generation
-                                  and replication lag — Prometheus text by
+                                  counters, per-pair generation and
+                                  replication lag — Prometheus text by
                                   default, ?format=json for the envelope
     POST /v1/align                enqueue alignment of two single-KB
                                   snapshots (form fields left=, right=,
@@ -178,10 +169,6 @@ SERVE:
   --catalog <DIR>         serve every *.snap in DIR as a named pair
   --addr <HOST:PORT>      bind address             [default: 127.0.0.1:7070]
   --threads <N>           request worker threads   [default: 4]
-  --max-resident <BYTES>  budget for decoded v1 images (suffixes K/M/G);
-                          least-recently-used pairs are evicted and
-                          transparently re-loaded on the next hit.
-                          Mapped v2 arenas cost nothing against it.
   --no-jobs               disable POST /align and client-named reload
                           paths (these make the server read/write
                           server-local files named by the client; there is
@@ -195,8 +182,8 @@ SERVE:
                           catalog into the --catalog directory (required;
                           created if missing, may start empty), validate
                           and atomically install changed snapshots, and
-                          hot-reload them. Composes with --watch and
-                          --max-resident. See docs/REPLICATION.md.
+                          hot-reload them. Composes with --watch. See
+                          docs/REPLICATION.md.
   --sync-interval <SECS>  replica manifest poll cadence  [default: 1]
   --log-format <text|json|off>  per-request log lines on stderr (request
                           id, route, pair, status, bytes, latency µs);
@@ -254,7 +241,7 @@ SYNC:
   `paris sync <URL> <DIR>` runs exactly one replication cycle against
   the daemon at URL, mirroring its catalog into DIR (cron-style
   mirroring without a serving daemon): fetch the manifest, download
-  only changed pairs, validate framing + checksums, atomic-rename into
+  only changed pairs, validate structure + checksums, atomic-rename into
   DIR, delete pairs the primary no longer serves. Exits non-zero if any
   pair failed to transfer.
 
@@ -282,7 +269,6 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("generate") => generate(&args[1..]),
         Some("snapshot") => snapshot(&args[1..]),
         Some("ingest") => ingest(&args[1..]),
-        Some("convert") => convert(&args[1..]),
         Some("delta") => delta(&args[1..]),
         Some("serve") => serve(&args[1..]),
         Some("sync") => sync(&args[1..]),
@@ -300,17 +286,13 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 /// What `paris version` prints (and `/healthz` reports in parts): the
-/// crate version plus every snapshot/delta format version this build
-/// understands.
+/// crate version plus the snapshot and delta format versions this build
+/// reads and writes.
 fn version_string() -> String {
-    use paris_repro::kb::snapshot::{DELTA_FORMAT_VERSION, SUPPORTED_SNAPSHOT_VERSIONS};
-    let formats = SUPPORTED_SNAPSHOT_VERSIONS
-        .iter()
-        .map(|v| format!("v{v}"))
-        .collect::<Vec<_>>()
-        .join(", ");
+    use paris_repro::kb::snapshot::DELTA_FORMAT_VERSION;
+    use paris_repro::kb::snapshot_v2::FORMAT_VERSION_V2;
     format!(
-        "paris {}\nsnapshot formats: {formats} (v1 decode-on-load, v2 zero-copy mmap arena)\n\
+        "paris {}\nsnapshot format: v{FORMAT_VERSION_V2} (zero-copy mmap arena)\n\
          delta format: v{DELTA_FORMAT_VERSION}",
         env!("CARGO_PKG_VERSION"),
     )
@@ -576,9 +558,10 @@ fn load(path: &Path) -> Result<Kb, String> {
         .unwrap_or("kb")
         .to_owned();
     let result = if ext == "snap" {
-        // A pre-built single-KB snapshot (v1 stream or v2 section image,
-        // e.g. from `paris ingest`) — load it instead of parsing RDF.
-        return paris_repro::kb::snapshot::load_kb(path)
+        // A pre-built single-KB snapshot (from `paris snapshot FILE` or
+        // `paris ingest`) — hydrate it instead of parsing RDF.
+        return paris_repro::kb::MappedKbSnapshot::open(path)
+            .map(|snap| snap.kb().to_kb())
             .map_err(|e| format!("loading {}: {e}", path.display()));
     } else if ext == "tsv" {
         // The paper's IMDb path: ad-hoc tabular facts → triples (§6.4).
@@ -746,34 +729,10 @@ fn generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// A snapshot format selector (`--format v1|v2`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum SnapFormat {
-    V1,
-    V2,
-}
-
-fn parse_format(spec: &str) -> Result<SnapFormat, String> {
-    match spec {
-        "v1" | "1" => Ok(SnapFormat::V1),
-        "v2" | "2" => Ok(SnapFormat::V2),
-        other => Err(format!(
-            "unknown snapshot format '{other}' (expected v1 or v2)"
-        )),
-    }
-}
-
-/// Writes an aligned pair in the requested format.
-fn save_pair(
-    snap: &paris_repro::paris::AlignedPairSnapshot,
-    format: SnapFormat,
-    out: &Path,
-) -> Result<(), String> {
-    match format {
-        SnapFormat::V1 => snap.save(out),
-        SnapFormat::V2 => paris_repro::paris::MappedPairSnapshot::save_v2(snap, out),
-    }
-    .map_err(|e| format!("writing {}: {e}", out.display()))
+/// Writes an aligned pair as a snapshot file.
+fn save_pair(snap: &paris_repro::paris::AlignedPairSnapshot, out: &Path) -> Result<(), String> {
+    paris_repro::paris::MappedPairSnapshot::save_v2(snap, out)
+        .map_err(|e| format!("writing {}: {e}", out.display()))
 }
 
 /// `paris snapshot`: persist one KB, or align a pair and persist the
@@ -782,7 +741,6 @@ fn snapshot(args: &[String]) -> Result<(), String> {
     let mut positional: Vec<&String> = Vec::new();
     let mut out: Option<PathBuf> = None;
     let mut config = ParisConfig::default();
-    let mut format = SnapFormat::V1;
 
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -796,7 +754,6 @@ fn snapshot(args: &[String]) -> Result<(), String> {
         }
         match arg.as_str() {
             "--out" => out = Some(PathBuf::from(value_of("--out")?)),
-            "--format" => format = parse_format(&value_of("--format")?)?,
             flag if flag.starts_with("--") => return Err(format!("unknown option '{flag}'")),
             _ => positional.push(arg),
         }
@@ -807,14 +764,10 @@ fn snapshot(args: &[String]) -> Result<(), String> {
     match positional.as_slice() {
         [single] => {
             let kb = load(Path::new(single))?;
-            match format {
-                SnapFormat::V1 => paris_repro::kb::snapshot::save_kb(&kb, &out),
-                SnapFormat::V2 => paris_repro::kb::snapshot_v2::save_kb_v2(&kb, &out),
-            }
-            .map_err(|e| format!("writing {}: {e}", out.display()))?;
+            paris_repro::kb::snapshot_v2::save_kb_v2(&kb, &out)
+                .map_err(|e| format!("writing {}: {e}", out.display()))?;
             println!(
-                "wrote {} single-KB snapshot of {} to {} ({} bytes, {:.2}s)",
-                if format == SnapFormat::V2 { "v2" } else { "v1" },
+                "wrote single-KB snapshot of {} to {} ({} bytes, {:.2}s)",
                 KbStats::of(&kb),
                 out.display(),
                 file_size(&out),
@@ -831,10 +784,9 @@ fn snapshot(args: &[String]) -> Result<(), String> {
             let iterations = result.iterations.len();
             let owned = result.detach();
             let snap = paris_repro::paris::AlignedPairSnapshot::new(kb1, kb2, owned);
-            save_pair(&snap, format, &out)?;
+            save_pair(&snap, &out)?;
             println!(
-                "wrote {} aligned-pair snapshot to {} ({} bytes): {aligned} instances aligned in {iterations} iterations, {:.2}s total",
-                if format == SnapFormat::V2 { "v2" } else { "v1" },
+                "wrote aligned-pair snapshot to {} ({} bytes): {aligned} instances aligned in {iterations} iterations, {:.2}s total",
                 out.display(),
                 file_size(&out),
                 t0.elapsed().as_secs_f64(),
@@ -940,49 +892,6 @@ fn ingest(args: &[String]) -> Result<(), String> {
         report.spill_runs,
         report.spill_bytes,
         opts.mem_budget,
-        t0.elapsed().as_secs_f64(),
-    );
-    Ok(())
-}
-
-/// `paris convert`: re-encode an aligned-pair snapshot between format
-/// versions (v1 ↔ v2). The input version is auto-detected.
-fn convert(args: &[String]) -> Result<(), String> {
-    let mut positional: Vec<&String> = Vec::new();
-    let mut out: Option<PathBuf> = None;
-    let mut format = SnapFormat::V2;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value_of = |name: &str| {
-            iter.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-                .cloned()
-        };
-        match arg.as_str() {
-            "--out" => out = Some(PathBuf::from(value_of("--out")?)),
-            "--format" => format = parse_format(&value_of("--format")?)?,
-            flag if flag.starts_with("--") => return Err(format!("unknown option '{flag}'")),
-            _ => positional.push(arg),
-        }
-    }
-    let [input] = positional.as_slice() else {
-        return Err("convert needs exactly one aligned-pair snapshot".to_owned());
-    };
-    let out = out.ok_or("convert needs --out <FILE.snap>")?;
-
-    let t0 = std::time::Instant::now();
-    let image = paris_repro::paris::PairImage::load(input.as_str())
-        .map_err(|e| format!("loading {input}: {e}"))?;
-    let from = image.format_version();
-    // Hydration is the expensive half of a v2 → v1 conversion; v1 → v2
-    // just re-encodes the decoded image.
-    let snap = image.into_decoded();
-    save_pair(&snap, format, &out)?;
-    println!(
-        "converted {input} (v{from}) to {} ({}, {} bytes, {:.2}s)",
-        out.display(),
-        if format == SnapFormat::V2 { "v2" } else { "v1" },
-        file_size(&out),
         t0.elapsed().as_secs_f64(),
     );
     Ok(())
@@ -1121,8 +1030,8 @@ fn delta(args: &[String]) -> Result<(), String> {
     }
 
     let t0 = std::time::Instant::now();
-    // Deltas rewrite the KBs, so a v2 input is hydrated into the owned
-    // representation first (v1 inputs decode directly).
+    // Deltas rewrite the KBs, so the image is hydrated into the owned
+    // representation first.
     let snap = paris_repro::paris::PairImage::load(pair_path.as_str())
         .map_err(|e| format!("loading {pair_path}: {e}"))?
         .into_decoded();
@@ -1146,9 +1055,10 @@ fn delta(args: &[String]) -> Result<(), String> {
         let aligned = result.instance_pairs().len();
         let iterations = result.iterations.len();
         let owned = result.detach();
-        paris_repro::paris::AlignedPairSnapshot::new(kb1, kb2, owned)
-            .save(&out)
-            .map_err(|e| format!("writing {}: {e}", out.display()))?;
+        save_pair(
+            &paris_repro::paris::AlignedPairSnapshot::new(kb1, kb2, owned),
+            &out,
+        )?;
         println!(
             "full re-alignment after delta (+{} −{} facts): {aligned} instances \
              aligned in {iterations} iterations, {:.2}s (+ {load_seconds:.2}s load), \
@@ -1170,9 +1080,7 @@ fn delta(args: &[String]) -> Result<(), String> {
         &paris_repro::paris::IncrementalOptions::default(),
     )
     .map_err(|e| e.to_string())?;
-    updated
-        .save(&out)
-        .map_err(|e| format!("writing {}: {e}", out.display()))?;
+    save_pair(&updated, &out)?;
     println!(
         "incremental re-alignment (+{} −{} facts left, +{} −{} right): rescored \
          {}/{} instance rows and {} relation rows over {} iterations, {:.2}s \
@@ -1235,9 +1143,6 @@ fn serve(args: &[String]) -> Result<(), String> {
             }
             "--no-jobs" => config.enable_jobs = false,
             "--catalog" => config.catalog_dir = Some(PathBuf::from(value_of("--catalog")?)),
-            "--max-resident" => {
-                config.max_resident_bytes = Some(parse_byte_size(&value_of("--max-resident")?)?)
-            }
             "--watch" => {
                 let seconds: f64 = value_of("--watch")?
                     .parse()
@@ -1324,13 +1229,12 @@ fn serve(args: &[String]) -> Result<(), String> {
             let image = paris_repro::paris::PairImage::load(snapshot_path.as_str())
                 .map_err(|e| format!("loading {snapshot_path}: {e}"))?;
             eprintln!(
-                "loaded v{} snapshot in {:.1} ms ({}): {} / {} — {} aligned instances",
-                image.format_version(),
+                "loaded snapshot in {:.1} ms ({}): {} / {} — {} aligned instances",
                 t0.elapsed().as_secs_f64() * 1000.0,
                 if image.is_mapped() {
                     "mmap, zero-copy"
                 } else {
-                    "decoded"
+                    "read into memory"
                 },
                 image.kb_stats(paris_repro::paris::PairSide::Kb1),
                 image.kb_stats(paris_repro::paris::PairSide::Kb2),
@@ -2027,18 +1931,10 @@ mod tests {
     }
 
     #[test]
-    fn parse_format_variants() {
-        assert_eq!(parse_format("v1").unwrap(), SnapFormat::V1);
-        assert_eq!(parse_format("v2").unwrap(), SnapFormat::V2);
-        assert_eq!(parse_format("2").unwrap(), SnapFormat::V2);
-        assert!(parse_format("v3").is_err());
-    }
-
-    #[test]
     fn version_string_names_all_formats() {
         let v = version_string();
         assert!(v.contains(env!("CARGO_PKG_VERSION")), "{v}");
-        assert!(v.contains("v1") && v.contains("v2"), "{v}");
+        assert!(v.contains("snapshot format: v2"), "{v}");
         assert!(v.contains("delta format: v1"), "{v}");
     }
 
@@ -2098,5 +1994,59 @@ mod tests {
         assert_eq!(read.len(), 2);
         assert_eq!(read[0], ("http://a/x".to_owned(), "http://b/y".to_owned()));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `paris snapshot` and both branches of `paris delta` write the one
+    /// snapshot format the daemon opens in place.
+    #[test]
+    fn snapshot_and_delta_write_images_that_open_in_place() {
+        use paris_repro::paris::MappedPairSnapshot;
+        let dir = std::env::temp_dir().join("paris_cli_snapshot_delta_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let people = |ns: &str, rel: &str| -> String {
+            (0..4)
+                .map(|i| format!("<http://{ns}/p{i}> <http://{ns}/{rel}> \"p{i}@x.org\" .\n"))
+                .collect()
+        };
+        std::fs::write(file("left.nt"), people("a", "email")).unwrap();
+        std::fs::write(file("right.nt"), people("b", "mail")).unwrap();
+        std::fs::write(
+            file("add.nt"),
+            "<http://a/p9> <http://a/email> \"p0@x.org\" .\n",
+        )
+        .unwrap();
+
+        snapshot(&strings(&[
+            &file("left.nt"),
+            &file("right.nt"),
+            "--out",
+            &file("pair.snap"),
+        ]))
+        .unwrap();
+        let add = file("add.nt");
+        for (out, extra) in [("incr.snap", None), ("full.snap", Some("--full"))] {
+            let mut args = vec![file("pair.snap"), "--add-left".into(), add.clone()];
+            args.extend(extra.map(str::to_owned));
+            args.extend(["--out".to_owned(), file(out)]);
+            delta(&args).unwrap();
+        }
+
+        // The added p9 shares p0's address, so it gains a candidate too.
+        for (name, entities, aligned) in [
+            ("pair.snap", 8, 4),
+            ("incr.snap", 9, 5),
+            ("full.snap", 9, 5),
+        ] {
+            let opened =
+                MappedPairSnapshot::open(file(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(opened.kb1().num_entities(), entities, "{name}");
+            assert_eq!(
+                opened.alignment().aligned_instances(opened.kb1()),
+                aligned,
+                "{name}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,6 +1,6 @@
 //! End-to-end test of the multi-pair serving catalog over real TCP: one
-//! daemon serves three alignment pairs (a mix of decoded v1 and mmapped
-//! v2 snapshots) from a catalog directory, under concurrent keep-alive
+//! daemon serves three alignment pairs (mmapped snapshots) from a
+//! catalog directory, under concurrent keep-alive
 //! load, with **independent per-pair reload generations** and zero
 //! failed responses — the acceptance harness of the snapshot-arena /
 //! catalog subsystem. Also exercises the HTTP conformance satellites on
@@ -135,10 +135,10 @@ fn catalog_serves_three_pairs_with_independent_reloads_under_load() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
 
-    // Three pairs of distinguishable sizes; beta is a zero-copy v2 file.
-    snapshot_of(3).save(dir.join("alpha.snap")).unwrap();
+    // Three pairs of distinguishable sizes.
+    MappedPairSnapshot::save_v2(&snapshot_of(3), dir.join("alpha.snap")).unwrap();
     MappedPairSnapshot::save_v2(&snapshot_of(5), dir.join("beta.snap")).unwrap();
-    snapshot_of(7).save(dir.join("gamma.snap")).unwrap();
+    MappedPairSnapshot::save_v2(&snapshot_of(7), dir.join("gamma.snap")).unwrap();
 
     let server = Server::bind_catalog(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
@@ -309,7 +309,7 @@ fn catalog_watch_discovers_new_pairs_and_reloads_changed_ones() {
     let dir = std::env::temp_dir().join("paris_catalog_watch_e2e");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    snapshot_of(3).save(dir.join("alpha.snap")).unwrap();
+    MappedPairSnapshot::save_v2(&snapshot_of(3), dir.join("alpha.snap")).unwrap();
 
     let server = Server::bind_catalog(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
@@ -325,7 +325,7 @@ fn catalog_watch_discovers_new_pairs_and_reloads_changed_ones() {
     // Load alpha, then replace its file: the watch thread must swap it.
     assert_eq!(get(addr, "/pairs/alpha/sameas?iri=http://a/p1").0, 200);
     std::thread::sleep(Duration::from_millis(30));
-    snapshot_of(5).save(dir.join("alpha.snap")).unwrap();
+    MappedPairSnapshot::save_v2(&snapshot_of(5), dir.join("alpha.snap")).unwrap();
     wait_until(addr, "/pairs/alpha/healthz", "\"generation\":2");
 
     // Drop a brand-new pair into the directory: the rescan publishes it.

@@ -18,9 +18,8 @@ use std::time::Duration;
 use paris_repro::datagen::{movies, MoviesConfig};
 use paris_repro::kb::export::to_ntriples;
 use paris_repro::kb::ingest::{ingest_reader, IngestOptions};
-use paris_repro::kb::snapshot::load_kb;
 use paris_repro::kb::snapshot_v2::kb_to_bytes_v2;
-use paris_repro::kb::{Kb, KbBuilder};
+use paris_repro::kb::{Kb, KbBuilder, MappedKbSnapshot};
 use paris_repro::paris::{AlignedPairSnapshot, Aligner, OwnedAlignment, ParisConfig};
 use paris_repro::rdf::ntriples::Parser;
 use paris_repro::server::{Server, ServerConfig};
@@ -222,12 +221,13 @@ fn ingest_is_out_of_core_and_serves_identically() {
         format!("/v1/pairs/default/sameas?iri={probe_iri}"),
         format!("/v1/pairs/default/neighbors?iri={probe_iri}&limit=20"),
     ];
-    // load_kb auto-detects the v2 images `paris ingest` writes.
-    let from_ingest = serve_and_probe(
-        load_kb(&left_snap).expect("ingested snapshot opens"),
-        load_kb(&right_snap).expect("ingested snapshot opens"),
-        &probes,
-    );
+    let load_kb = |path: &std::path::Path| {
+        MappedKbSnapshot::open(path)
+            .expect("ingested snapshot opens")
+            .kb()
+            .to_kb()
+    };
+    let from_ingest = serve_and_probe(load_kb(&left_snap), load_kb(&right_snap), &probes);
     let heap_kb = |name: &str, doc: &str| {
         let mut b = KbBuilder::new(name);
         b.add_triples(&Parser::parse_all(doc).unwrap());

@@ -20,7 +20,9 @@ use std::time::Duration;
 use paris_repro::client::json::{self, Json};
 use paris_repro::client::{ParisClient, Side};
 use paris_repro::kb::{Kb, KbBuilder};
-use paris_repro::paris::{AlignedPairSnapshot, Aligner, OwnedAlignment, ParisConfig};
+use paris_repro::paris::{
+    AlignedPairSnapshot, Aligner, MappedPairSnapshot, OwnedAlignment, ParisConfig,
+};
 use paris_repro::rdf::Literal;
 use paris_repro::server::{Server, ServerConfig};
 
@@ -174,8 +176,8 @@ fn metrics_account_for_every_request_exactly() {
     let dir = std::env::temp_dir().join("paris_metrics_e2e");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    snapshot_of(3).save(dir.join("alpha.snap")).unwrap();
-    snapshot_of(5).save(dir.join("beta.snap")).unwrap();
+    MappedPairSnapshot::save_v2(&snapshot_of(3), dir.join("alpha.snap")).unwrap();
+    MappedPairSnapshot::save_v2(&snapshot_of(5), dir.join("beta.snap")).unwrap();
 
     let server = Server::bind_catalog(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
@@ -359,7 +361,7 @@ fn metrics_account_for_every_request_exactly() {
     }
     assert_eq!(histogram_total, total);
 
-    // Per-pair serving gauges (satellite: resident/generation/reloads).
+    // Per-pair serving gauges (satellite: loaded/generation/reloads).
     for pair in ["alpha", "beta"] {
         let lbl = Some(("pair", pair));
         assert_eq!(
@@ -371,7 +373,6 @@ fn metrics_account_for_every_request_exactly() {
             Some(0)
         );
         assert_eq!(value_of(&data, "gauges", "paris_pair_loaded", lbl), Some(1));
-        assert!(value_of(&data, "gauges", "paris_pair_resident_bytes", lbl).unwrap() > 0);
     }
     assert_eq!(value_of(&data, "gauges", "paris_pairs", None), Some(2));
 
@@ -430,7 +431,7 @@ fn metrics_account_for_every_request_exactly() {
     assert!(text.contains(&inf_line), "{text}");
 
     // --- Phase 2: rolling reload under load; accounting stays exact.
-    snapshot_of(7).save(dir.join("alpha.snap")).unwrap();
+    MappedPairSnapshot::save_v2(&snapshot_of(7), dir.join("alpha.snap")).unwrap();
     let before = value_of(&scrape_json(addr), "counters", "paris_requests_total", None).unwrap();
     std::thread::scope(|scope| {
         scope.spawn(|| {

@@ -1,13 +1,12 @@
 //! End-to-end test of the versioned `/v1` query API over real TCP: one
-//! catalog daemon serving the **same** aligned pair twice — once as a
-//! decoded v1 snapshot (`alpha`), once as a zero-copy v2 snapshot
-//! (`beta`) — driven through the typed `paris-client` crate and through
-//! raw HTTP where headers matter.
+//! catalog daemon serving the **same** aligned pair under two names
+//! (`alpha`, `beta`), driven through the typed `paris-client` crate and
+//! through raw HTTP where headers matter.
 //!
 //! Covered: the `{"data"}/{"error":{code,message}}` envelope, batch
 //! queries answered from one image acquisition, explain evidence that
-//! recomputes bit-exactly to its served score and is **byte-identical**
-//! across snapshot formats, neighbors pagination, legacy aliases
+//! recomputes bit-exactly to its served score and differs between the
+//! two pairs only in the embedded name, neighbors pagination, legacy aliases
 //! (same bytes + one deprecation warning, structured errors), and zero
 //! failed responses under concurrent mixed clients.
 
@@ -83,7 +82,7 @@ fn raw_get(addr: &std::net::SocketAddr, path: &str) -> (u16, Vec<(String, String
 fn v1_query_api_end_to_end() {
     let dir = catalog_dir();
     let snap = snapshot();
-    snap.save(dir.join("alpha.snap")).unwrap();
+    MappedPairSnapshot::save_v2(&snap, dir.join("alpha.snap")).unwrap();
     MappedPairSnapshot::save_v2(&snap, dir.join("beta.snap")).unwrap();
 
     // Enough workers for the concurrency phase's 4 keep-alive clients
@@ -113,7 +112,7 @@ fn v1_query_api_end_to_end() {
         ["alpha", "beta"]
     );
 
-    // ---- sameas + neighbors, both formats, typed
+    // ---- sameas + neighbors, both pairs, typed
     for pair in ["alpha", "beta"] {
         let a = client
             .sameas(Some(pair), "http://a/p1", Side::Left, None)
@@ -142,10 +141,10 @@ fn v1_query_api_end_to_end() {
         assert_eq!(past.total_facts, 2, "{pair}");
     }
 
-    // ---- stats typed; the two formats serve the same alignment
+    // ---- stats typed; the two pairs serve the same alignment
     let stats_alpha = client.stats(Some("alpha")).unwrap();
     let stats_beta = client.stats(Some("beta")).unwrap();
-    assert_eq!(stats_alpha.format, "v1");
+    assert_eq!(stats_alpha.format, "v2");
     assert_eq!(stats_beta.format, "v2");
     assert_eq!(
         stats_alpha.aligned_instances, stats_beta.aligned_instances,
@@ -220,14 +219,14 @@ fn v1_query_api_end_to_end() {
             "p{i}: assigned pair's stored score is the served sameas score"
         );
 
-        // Byte-identical across snapshot formats (decoded v1 vs mapped v2).
+        // Byte-identical across the two pairs, up to the name.
         let path = |pair: &str| {
             format!(
                 "/v1/pairs/{pair}/explain?left=http%3A%2F%2Fa%2Fp{i}&right=http%3A%2F%2Fb%2Fq{i}"
             )
         };
-        let (s1, _, body_v1) = raw_get(&addr, &path("alpha"));
-        let (s2, _, body_v2) = raw_get(&addr, &path("beta"));
+        let (s1, _, body_alpha) = raw_get(&addr, &path("alpha"));
+        let (s2, _, body_beta) = raw_get(&addr, &path("beta"));
         assert_eq!((s1, s2), (200, 200));
         let strip = |body: &[u8]| {
             // Identical up to the pair name each answer embeds.
@@ -236,7 +235,7 @@ fn v1_query_api_end_to_end() {
                 .replace("\"pair\":\"alpha\"", "\"pair\":\"#\"")
                 .replace("\"pair\":\"beta\"", "\"pair\":\"#\"")
         };
-        assert_eq!(strip(&body_v1), strip(&body_v2), "p{i}");
+        assert_eq!(strip(&body_alpha), strip(&body_beta), "p{i}");
     }
 
     // A non-assigned candidate explains too, with a lower score.

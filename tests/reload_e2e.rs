@@ -10,7 +10,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use paris_repro::kb::{Kb, KbBuilder};
-use paris_repro::paris::{AlignedPairSnapshot, Aligner, OwnedAlignment, ParisConfig};
+use paris_repro::paris::{
+    AlignedPairSnapshot, Aligner, MappedPairSnapshot, OwnedAlignment, PairImage, ParisConfig,
+};
 use paris_repro::rdf::Literal;
 use paris_repro::server::{Server, ServerConfig};
 
@@ -110,10 +112,10 @@ fn reload_swaps_atomically_under_concurrent_load() {
     let dir = std::env::temp_dir().join("paris_reload_e2e");
     std::fs::create_dir_all(&dir).unwrap();
     let snap_path = dir.join("pair.snap");
-    snapshot_of(4).save(&snap_path).unwrap();
+    MappedPairSnapshot::save_v2(&snapshot_of(4), &snap_path).unwrap();
 
-    let server = Server::bind(
-        AlignedPairSnapshot::load(&snap_path).unwrap(),
+    let server = Server::bind_image(
+        PairImage::load(&snap_path).unwrap(),
         ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             // 4 keep-alive clients pin 4 workers; the extra workers serve
@@ -173,7 +175,7 @@ fn reload_swaps_atomically_under_concurrent_load() {
 
     // Swap 1: a bigger snapshot via POST /reload against the configured
     // source path (atomic file replace, then swap).
-    snapshot_of(6).save(&snap_path).unwrap();
+    MappedPairSnapshot::save_v2(&snapshot_of(6), &snap_path).unwrap();
     let (status, body) = oneshot(
         addr,
         "POST /reload HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: 0\r\n\r\n",
@@ -192,7 +194,7 @@ fn reload_swaps_atomically_under_concurrent_load() {
 
     // Swap 2: again, under the same load.
     std::thread::sleep(Duration::from_millis(50));
-    snapshot_of(8).save(&snap_path).unwrap();
+    MappedPairSnapshot::save_v2(&snapshot_of(8), &snap_path).unwrap();
     let (status, body) = oneshot(
         addr,
         "POST /reload HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: 0\r\n\r\n",
@@ -232,10 +234,10 @@ fn watch_thread_reloads_on_mtime_change() {
     let dir = std::env::temp_dir().join("paris_watch_e2e");
     std::fs::create_dir_all(&dir).unwrap();
     let snap_path = dir.join("pair.snap");
-    snapshot_of(3).save(&snap_path).unwrap();
+    MappedPairSnapshot::save_v2(&snapshot_of(3), &snap_path).unwrap();
 
-    let server = Server::bind(
-        AlignedPairSnapshot::load(&snap_path).unwrap(),
+    let server = Server::bind_image(
+        PairImage::load(&snap_path).unwrap(),
         ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             threads: 2,
@@ -252,7 +254,7 @@ fn watch_thread_reloads_on_mtime_change() {
     // swap without any request asking for it. (File clocks can be coarse —
     // make sure the mtime actually moves.)
     std::thread::sleep(Duration::from_millis(30));
-    snapshot_of(5).save(&snap_path).unwrap();
+    MappedPairSnapshot::save_v2(&snapshot_of(5), &snap_path).unwrap();
 
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -270,6 +272,75 @@ fn watch_thread_reloads_on_mtime_change() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A file in the retired v1 format is refused by name — "re-create it" —
+/// at every door a snapshot can come in through, and a reload that hits
+/// one leaves the old generation serving.
+#[test]
+fn retired_v1_files_fail_loudly_at_every_entry_point() {
+    use paris_repro::kb::snapshot::SnapshotError;
+    use paris_repro::kb::snapshot_v2::checksum_v2;
+    use paris_repro::kb::MappedKbSnapshot;
+    use paris_repro::replica::sync::validate_snapshot_file;
+
+    let dir = std::env::temp_dir().join("paris_retired_v1_e2e");
+    std::fs::create_dir_all(&dir).unwrap();
+    // All a v1 file and a v2 file have in common: magic, then version.
+    let v1_header = [b"PARISNAP".as_slice(), &1u32.to_le_bytes()].concat();
+    let v1_path = dir.join("old.snap");
+    std::fs::write(&v1_path, &v1_header).unwrap();
+    let retired = SnapshotError::UnsupportedVersion(1).to_string();
+    assert!(retired.contains("retired"), "{retired}");
+    assert!(
+        retired.contains("paris snapshot") && retired.contains("paris ingest"),
+        "{retired}"
+    );
+
+    assert!(matches!(
+        PairImage::load(&v1_path),
+        Err(SnapshotError::UnsupportedVersion(1))
+    ));
+    assert!(matches!(
+        MappedKbSnapshot::open(&v1_path),
+        Err(SnapshotError::UnsupportedVersion(1))
+    ));
+    let err = validate_snapshot_file(&v1_path, checksum_v2(&v1_header)).unwrap_err();
+    assert!(err.contains(&retired), "{err}");
+
+    let snap_path = dir.join("pair.snap");
+    MappedPairSnapshot::save_v2(&snapshot_of(3), &snap_path).unwrap();
+    let handle = Server::bind_image(
+        PairImage::load(&snap_path).unwrap(),
+        ServerConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            threads: 2,
+            snapshot_path: Some(snap_path.clone()),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap()
+    .spawn()
+    .unwrap();
+    // Replace by rename, as every writer does: the served mapping keeps
+    // its inode.
+    std::fs::rename(&v1_path, &snap_path).unwrap();
+    let (status, body) = oneshot(
+        handle.addr(),
+        "POST /v1/pairs/pair/reload HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: 0\r\n\r\n",
+    );
+    assert_eq!(status, 500, "{body}");
+    assert!(body.contains("retired"), "{body}");
+    let (status, stats) = oneshot(
+        handle.addr(),
+        "GET /v1/pairs/pair/stats HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+    );
+    assert_eq!(status, 200, "{stats}");
+    assert!(stats.contains("\"generation\":1"), "{stats}");
+    assert!(stats.contains("\"aligned_instances\":3"), "{stats}");
 
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();

@@ -142,7 +142,7 @@ fn two_replicas_follow_the_primary_with_zero_failed_reads() {
     std::fs::remove_dir_all(&root).ok();
     let primary_dir = root.join("primary");
     std::fs::create_dir_all(&primary_dir).unwrap();
-    snapshot_of(3).save(primary_dir.join("alpha.snap")).unwrap();
+    MappedPairSnapshot::save_v2(&snapshot_of(3), primary_dir.join("alpha.snap")).unwrap();
     MappedPairSnapshot::save_v2(&snapshot_of(4), primary_dir.join("beta.snap")).unwrap();
 
     // The primary watches its own directory so operator-side deletions
@@ -204,7 +204,7 @@ fn two_replicas_follow_the_primary_with_zero_failed_reads() {
             "\"last_sync_seconds_ago\"",
             "sync time reported",
         );
-        // The v2 pair is served from its mmapped arena on the replica too.
+        // The replica serves the mirrored image in place, like the primary.
         let (_, beta) = get(addr, "/pairs/beta/stats");
         assert!(beta.contains("\"format\":\"v2\""), "{beta}");
     }
@@ -263,7 +263,7 @@ fn two_replicas_follow_the_primary_with_zero_failed_reads() {
 
     // Publish a bigger alpha on the primary the supported way: replace
     // the snapshot file, then POST /pairs/alpha/reload.
-    snapshot_of(6).save(primary_dir.join("alpha.snap")).unwrap();
+    MappedPairSnapshot::save_v2(&snapshot_of(6), primary_dir.join("alpha.snap")).unwrap();
     let (status, body) = post(primary_addr, "/pairs/alpha/reload");
     assert_eq!(status, 200, "{body}");
     for &addr in &replica_addrs {

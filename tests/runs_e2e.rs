@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use paris_repro::client::json::{self, Json};
 use paris_repro::datagen::{movies, MoviesConfig};
-use paris_repro::kb::snapshot::save_kb;
+use paris_repro::kb::snapshot_v2::save_kb_v2;
 use paris_repro::kb::{Kb, KbBuilder};
 use paris_repro::paris::{AlignedPairSnapshot, Aligner, OwnedAlignment, ParisConfig};
 use paris_repro::rdf::Literal;
@@ -160,8 +160,8 @@ fn run_history_survives_restart_and_flags_drift() {
 
     // Generation 1: a clean pair of 40 people matched by e-mail.
     let (kb1, kb2) = people_pair(40, 0);
-    save_kb(&kb1, dir.join("left.snap")).unwrap();
-    save_kb(&kb2, dir.join("right.snap")).unwrap();
+    save_kb_v2(&kb1, dir.join("left.snap")).unwrap();
+    save_kb_v2(&kb2, dir.join("right.snap")).unwrap();
 
     let first = bind(&history);
     run_align_job(first.addr(), &dir, 1);
@@ -206,7 +206,7 @@ fn run_history_survives_restart_and_flags_drift() {
     // quarter of the assignment disappears — far past the 5% drift
     // threshold.
     let (_, kb2_moved) = people_pair(40, 10);
-    save_kb(&kb2_moved, dir.join("right.snap")).unwrap();
+    save_kb_v2(&kb2_moved, dir.join("right.snap")).unwrap();
     run_align_job(second.addr(), &dir, 2);
     let records = fetch_records(second.addr());
     assert_eq!(records.len(), 3);

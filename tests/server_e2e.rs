@@ -8,8 +8,10 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use paris_repro::datagen::{movies, MoviesConfig};
-use paris_repro::kb::snapshot::save_kb;
-use paris_repro::paris::{AlignedPairSnapshot, Aligner, OwnedAlignment, ParisConfig};
+use paris_repro::kb::snapshot_v2::save_kb_v2;
+use paris_repro::paris::{
+    AlignedPairSnapshot, Aligner, MappedPairSnapshot, OwnedAlignment, ParisConfig,
+};
 use paris_repro::server::{Server, ServerConfig};
 
 /// One HTTP/1.1 request over a fresh connection; returns (status, body).
@@ -79,8 +81,8 @@ fn daemon_serves_the_snapshot() {
     // Single-KB snapshots for the POST /align job.
     let left_snap = dir.join("left.snap");
     let right_snap = dir.join("right.snap");
-    save_kb(&pair.kb1, &left_snap).unwrap();
-    save_kb(&pair.kb2, &right_snap).unwrap();
+    save_kb_v2(&pair.kb1, &left_snap).unwrap();
+    save_kb_v2(&pair.kb2, &right_snap).unwrap();
 
     // Spawn the daemon on an ephemeral port.
     let snapshot = AlignedPairSnapshot::new(pair.kb1, pair.kb2, owned);
@@ -123,8 +125,11 @@ fn daemon_serves_the_snapshot() {
     assert_eq!(get(addr, "/sameas").0, 400);
     assert_eq!(get(addr, "/nosuchroute").0, 404);
 
-    // POST /align runs a job over the two single-KB snapshots.
-    let out = dir.join("job-out.snap");
+    // POST /align runs a job over the two single-KB snapshots, writing
+    // its pair into a directory of its own (served as a catalog below).
+    let job_catalog = dir.join("job-catalog");
+    std::fs::create_dir_all(&job_catalog).unwrap();
+    let out = job_catalog.join("job-out.snap");
     let (status, body) = post(
         addr,
         "/align",
@@ -155,17 +160,40 @@ fn daemon_serves_the_snapshot() {
     }
     assert!(done, "job did not finish in time");
 
-    // The job's output snapshot is loadable and matches the reference.
-    let job_result = AlignedPairSnapshot::load(&out).unwrap();
+    // The job's output is the one snapshot format: it opens in place,
+    // matches the reference…
+    let job_result = MappedPairSnapshot::open(&out).unwrap();
     let (ref_left, ref_right) = &reference[0];
-    assert_eq!(
-        job_result
-            .alignment
-            .instance_alignment_by_iri(&job_result.kb1, &job_result.kb2, ref_left)
-            .unwrap()
-            .as_str(),
-        ref_right
+    let x = job_result.kb1().entity_by_iri(ref_left).unwrap();
+    let (x2, _) = job_result.alignment().best_match(x).unwrap();
+    assert_eq!(job_result.kb2().iri_str(x2), Some(ref_right.as_str()));
+    drop(job_result);
+
+    // …and a catalog daemon advertises and serves it as such.
+    let catalog = Server::bind_catalog(ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        threads: 2,
+        catalog_dir: Some(job_catalog),
+        ..ServerConfig::default()
+    })
+    .unwrap()
+    .spawn()
+    .unwrap();
+    let (status, body) = get(catalog.addr(), "/v1/pairs/manifest");
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        body.contains("\"name\":\"job-out\"") && body.contains("\"format\":2"),
+        "{body}"
     );
+    let (status, body) = get(
+        catalog.addr(),
+        &format!("/v1/pairs/job-out/sameas?iri={ref_left}"),
+    );
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains(ref_right.as_str()), "{body}");
+    let (_, body) = get(catalog.addr(), "/v1/pairs");
+    assert!(body.contains("\"format\":\"v2\""), "{body}");
+    catalog.shutdown();
 
     // Malformed request gets a 400, not a hang or crash.
     let (status, _) = request(addr, "NONSENSE\r\n\r\n");

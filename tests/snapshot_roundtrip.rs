@@ -3,12 +3,19 @@
 //! answers exactly; corrupt or truncated files must be rejected.
 
 use paris_repro::datagen::{movies, persons, MoviesConfig, PersonsConfig};
-use paris_repro::kb::snapshot::{load_kb, read_file, save_kb, SnapshotError};
-use paris_repro::kb::KbStats;
-use paris_repro::paris::{AlignedPairSnapshot, Aligner, OwnedAlignment, ParisConfig};
+use paris_repro::kb::snapshot::{SnapshotError, SnapshotKind};
+use paris_repro::kb::snapshot_v2::save_kb_v2;
+use paris_repro::kb::{Kb, KbStats, MappedKbSnapshot, SnapshotArena};
+use paris_repro::paris::{
+    AlignedPairSnapshot, Aligner, MappedPairSnapshot, OwnedAlignment, ParisConfig,
+};
 
 fn temp_path(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("paris_it_{name}"))
+}
+
+fn load_kb(path: &std::path::Path) -> Result<Kb, SnapshotError> {
+    MappedKbSnapshot::open(path).map(|snap| snap.kb().to_kb())
 }
 
 #[test]
@@ -18,7 +25,7 @@ fn kb_snapshot_preserves_stats_and_queries() {
         ..Default::default()
     });
     let path = temp_path("kb_roundtrip.snap");
-    save_kb(&pair.kb1, &path).unwrap();
+    save_kb_v2(&pair.kb1, &path).unwrap();
     let loaded = load_kb(&path).unwrap();
     std::fs::remove_file(&path).ok();
 
@@ -67,8 +74,8 @@ fn aligned_pair_snapshot_preserves_alignment_and_answers() {
     drop(result);
     let snap = AlignedPairSnapshot::new(pair.kb1, pair.kb2, owned);
     let path = temp_path("pair_roundtrip.snap");
-    snap.save(&path).unwrap();
-    let loaded = AlignedPairSnapshot::load(&path).unwrap();
+    MappedPairSnapshot::save_v2(&snap, &path).unwrap();
+    let loaded = MappedPairSnapshot::open(&path).unwrap().hydrate();
     std::fs::remove_file(&path).ok();
 
     // Stats of both KBs survive.
@@ -129,7 +136,7 @@ fn corrupt_and_truncated_snapshots_are_rejected() {
         ..Default::default()
     });
     let path = temp_path("corruption.snap");
-    save_kb(&pair.kb1, &path).unwrap();
+    save_kb_v2(&pair.kb1, &path).unwrap();
     let pristine = std::fs::read(&path).unwrap();
 
     // Corrupt header: bad magic.
@@ -147,7 +154,7 @@ fn corrupt_and_truncated_snapshots_are_rejected() {
         Err(SnapshotError::UnsupportedVersion(7))
     ));
 
-    // Flipped payload byte: checksum failure.
+    // Flipped section byte: checksum failure.
     let mut bad = pristine.clone();
     let mid = pristine.len() / 2;
     bad[mid] ^= 0x01;
@@ -177,37 +184,43 @@ fn kind_confusion_is_rejected() {
         ..Default::default()
     });
     let kb_path = temp_path("kind_kb.snap");
-    save_kb(&pair.kb1, &kb_path).unwrap();
+    save_kb_v2(&pair.kb1, &kb_path).unwrap();
 
     // A single-KB snapshot is not an aligned pair…
-    assert!(AlignedPairSnapshot::load(&kb_path).is_err());
+    assert!(MappedPairSnapshot::open(&kb_path).is_err());
 
     // …and an aligned pair is not a single KB.
     let result = Aligner::new(&pair.kb1, &pair.kb2, ParisConfig::default()).run();
     let owned = OwnedAlignment::from_result(&result);
     drop(result);
     let pair_path = temp_path("kind_pair.snap");
-    AlignedPairSnapshot::new(pair.kb1, pair.kb2, owned)
-        .save(&pair_path)
-        .unwrap();
+    MappedPairSnapshot::save_v2(
+        &AlignedPairSnapshot::new(pair.kb1, pair.kb2, owned),
+        &pair_path,
+    )
+    .unwrap();
     assert!(load_kb(&pair_path).is_err());
 
-    // read_file exposes the kind for dispatchers.
-    let (kind, _) = read_file(&kb_path).unwrap();
-    assert_eq!(format!("{kind:?}"), "Kb");
+    // The arena exposes the kind for dispatchers.
+    assert_eq!(
+        SnapshotArena::open(&kb_path).unwrap().kind(),
+        SnapshotKind::Kb
+    );
+    assert_eq!(
+        SnapshotArena::open(&pair_path).unwrap().kind(),
+        SnapshotKind::AlignedPair
+    );
     std::fs::remove_file(&kb_path).ok();
     std::fs::remove_file(&pair_path).ok();
 }
 
-/// Property test (satellite of the v2 arena work): flipping a *random*
-/// byte anywhere in a snapshot image — v1 and v2 alike — must make the
-/// load fail cleanly with a checksum/structure error. Never a panic,
-/// never a silently wrong image. Every byte of both formats is covered
-/// by either a validated header field or a (section) checksum, so there
-/// is no flippable byte that legitimately loads.
+/// Property test: flipping a *random* byte anywhere in a snapshot image
+/// must make the open fail cleanly with a checksum/structure error.
+/// Never a panic, never a silently wrong image. Every byte is covered by
+/// either a validated header field or a section checksum, so there is no
+/// flippable byte that legitimately opens.
 #[test]
-fn random_byte_flips_fail_cleanly_in_both_formats() {
-    use paris_repro::paris::MappedPairSnapshot;
+fn random_byte_flips_fail_cleanly() {
     use rand::{RngExt, SeedableRng};
 
     let pair = movies::generate(&MoviesConfig {
@@ -219,56 +232,33 @@ fn random_byte_flips_fail_cleanly_in_both_formats() {
     drop(result);
     let snap = AlignedPairSnapshot::new(pair.kb1, pair.kb2, owned);
 
-    let v1 = snap.to_bytes();
-    let v2 = MappedPairSnapshot::encode(&snap);
+    let image = MappedPairSnapshot::encode(&snap);
     assert!(
-        AlignedPairSnapshot::from_bytes(&v1).is_ok(),
-        "pristine v1 loads"
-    );
-    assert!(
-        MappedPairSnapshot::from_bytes(v2.clone()).is_ok(),
-        "pristine v2 opens"
+        MappedPairSnapshot::from_bytes(image.clone()).is_ok(),
+        "pristine image opens"
     );
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EC7_10F1);
     for trial in 0..256 {
-        // v1: decode path.
-        let offset = rng.random_range(0..v1.len());
+        let offset = rng.random_range(0..image.len());
         let bit = 1u8 << rng.random_range(0..8u32);
-        let mut corrupted = v1.clone();
-        corrupted[offset] ^= bit;
-        let err = AlignedPairSnapshot::from_bytes(&corrupted)
-            .err()
-            .unwrap_or_else(|| {
-                panic!("v1 trial {trial}: flip of bit {bit:#x} at byte {offset} loaded silently")
-            });
-        // The error renders (no panic) and is one of the clean kinds.
-        assert!(!err.to_string().is_empty());
-
-        // v2: zero-copy open path.
-        let offset = rng.random_range(0..v2.len());
-        let bit = 1u8 << rng.random_range(0..8u32);
-        let mut corrupted = v2.clone();
+        let mut corrupted = image.clone();
         corrupted[offset] ^= bit;
         let err = MappedPairSnapshot::from_bytes(corrupted)
             .err()
             .unwrap_or_else(|| {
-                panic!("v2 trial {trial}: flip of bit {bit:#x} at byte {offset} opened silently")
+                panic!("trial {trial}: flip of bit {bit:#x} at byte {offset} opened silently")
             });
+        // The error renders (no panic) and is one of the clean kinds.
         assert!(!err.to_string().is_empty());
     }
 
     // Random truncations fail cleanly too.
     for _ in 0..64 {
-        let cut = rng.random_range(0..v1.len());
+        let cut = rng.random_range(0..image.len());
         assert!(
-            AlignedPairSnapshot::from_bytes(&v1[..cut]).is_err(),
-            "v1 cut {cut}"
-        );
-        let cut = rng.random_range(0..v2.len());
-        assert!(
-            MappedPairSnapshot::from_bytes(v2[..cut].to_vec()).is_err(),
-            "v2 cut {cut}"
+            MappedPairSnapshot::from_bytes(image[..cut].to_vec()).is_err(),
+            "cut {cut}"
         );
     }
 }

@@ -17,9 +17,11 @@ use std::time::Duration;
 
 use paris_repro::client::{ParisClient, Side};
 use paris_repro::datagen::{movies, MoviesConfig};
-use paris_repro::kb::snapshot::save_kb;
+use paris_repro::kb::snapshot_v2::save_kb_v2;
 use paris_repro::kb::{Kb, KbBuilder};
-use paris_repro::paris::{AlignedPairSnapshot, Aligner, OwnedAlignment, ParisConfig};
+use paris_repro::paris::{
+    AlignedPairSnapshot, Aligner, MappedPairSnapshot, OwnedAlignment, ParisConfig,
+};
 use paris_repro::rdf::Literal;
 use paris_repro::server::{Server, ServerConfig};
 
@@ -190,9 +192,11 @@ fn one_sync_cycle_is_one_trace_across_both_daemons() {
         let result = Aligner::new(&kb1, &kb2, ParisConfig::default().with_threads(1)).run();
         OwnedAlignment::from_result(&result)
     };
-    AlignedPairSnapshot::new(kb1, kb2, owned)
-        .save(primary_dir.join("alpha.snap"))
-        .unwrap();
+    MappedPairSnapshot::save_v2(
+        &AlignedPairSnapshot::new(kb1, kb2, owned),
+        primary_dir.join("alpha.snap"),
+    )
+    .unwrap();
 
     let primary = Server::bind_catalog(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
@@ -257,8 +261,8 @@ fn align_job_trace_shows_iteration_passes() {
     });
     let left_snap = dir.join("left.snap");
     let right_snap = dir.join("right.snap");
-    save_kb(&pair.kb1, &left_snap).unwrap();
-    save_kb(&pair.kb2, &right_snap).unwrap();
+    save_kb_v2(&pair.kb1, &left_snap).unwrap();
+    save_kb_v2(&pair.kb2, &right_snap).unwrap();
 
     let handle = Server::bind(
         movies_snapshot(10),

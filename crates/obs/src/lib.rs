@@ -13,28 +13,24 @@
 //! Prometheus text exposition (version 0.0.4) or a JSON document — the
 //! two bodies `GET /v1/metrics` serves.
 //!
-//! [`trace`] is the second half of observability: a sink interface for
-//! the aligner's per-iteration events (dirty-set size, assignment churn,
-//! score movement), which the paper reports in its tables but a long
-//! `POST /align` job would otherwise compute invisibly.
-//!
-//! [`span`] is the third: structural timing. Where metrics aggregate and
-//! trace sinks stream flat iteration rows, spans form parent-linked
-//! trees per request/job/sync-cycle, propagate across daemons via
-//! `traceparent` headers, and are retained with tail-sampling so the
-//! slowest traces are always inspectable.
+//! [`span`] is the second half: structural timing. Where metrics
+//! aggregate, spans form parent-linked trees per request/job/sync-cycle,
+//! propagate across daemons via `traceparent` headers, and are retained
+//! with tail-sampling so the slowest traces are always inspectable.
 //!
 //! [`series`] and [`flame`] are the analysis layer on top: bounded
 //! per-iteration convergence series for long alignment runs, and
 //! flame-profile aggregation that folds recorded spans into name-path
-//! trees with self-time and per-path quantiles.
+//! trees with self-time and per-path quantiles. The aligner reports
+//! into spans and a series through one observer, `paris_core::Observe`
+//! — the per-iteration rows the paper reports in its tables, made
+//! visible while a long `POST /align` job still runs.
 
 #![forbid(unsafe_code)]
 
 pub mod flame;
 pub mod series;
 pub mod span;
-pub mod trace;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

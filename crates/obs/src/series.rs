@@ -1,13 +1,12 @@
 //! Per-iteration convergence series for alignment runs.
 //!
-//! The trace sinks in [`crate::trace`] stream flat iteration rows to a
-//! log; this module keeps them *queryable*: a [`RunSeries`] buffers one
-//! run's per-iteration measurements ([`IterationStats`]) with a fixed
-//! cardinality, so a serving daemon can expose the live convergence
-//! curve of a running `POST /align` job — dirty counts, assignment
-//! churn, pairs appearing and vanishing, the sharpening equivalence-
-//! probability distribution, per-pass durations — without unbounded
-//! memory, however long the fixpoint runs.
+//! A [`RunSeries`] buffers one alignment run's per-iteration
+//! measurements ([`IterationPoint`]s, pushed by the aligner's observer,
+//! `paris_core::Observe`) with a fixed cardinality, so a serving daemon
+//! can expose the live convergence curve of a running `POST /align` job
+//! — dirty counts, assignment churn, pairs appearing and vanishing, the
+//! sharpening equivalence-probability distribution, per-pass durations —
+//! without unbounded memory, however long the fixpoint runs.
 //!
 //! Scores are probabilities in `[0, 1]`; the histogram machinery in this
 //! crate records `u64` samples, so probabilities are recorded in
@@ -44,15 +43,14 @@ pub fn score_histogram(scores: impl IntoIterator<Item = f64>) -> HistogramSnapsh
     h.snapshot()
 }
 
-/// Measurements of one fixpoint iteration, as the observatory reports
-/// them. (Distinct from `paris_core::IterationStats`, the paper-table
-/// row persisted in snapshots: this type carries the live-monitoring
-/// extras — pair turnover and the score distribution.)
+/// One point of a convergence series: a fixpoint iteration's row plus
+/// the live-monitoring extras — pair turnover and the score
+/// distribution.
 #[derive(Clone, Debug)]
-pub struct IterationStats {
+pub struct IterationPoint {
     /// 1-based iteration number.
     pub iteration: usize,
-    /// Entities rescored this iteration (the dirty set).
+    /// KB-1 rows rescored this iteration (the dirty set).
     pub dirty: u64,
     /// Instances whose maximal assignment changed (churn).
     pub changed: u64,
@@ -71,13 +69,13 @@ pub struct IterationStats {
     pub subrelation_us: u64,
 }
 
-/// A bounded buffer of one run's [`IterationStats`], shareable across
+/// A bounded buffer of one run's [`IterationPoint`]s, shareable across
 /// threads: the aligner pushes from its runner thread while the daemon's
 /// request workers snapshot it for `GET /v1/jobs/<id>`. Points past the
 /// cap are counted, not stored.
 pub struct RunSeries {
     cap: usize,
-    points: Mutex<Vec<IterationStats>>,
+    points: Mutex<Vec<IterationPoint>>,
     truncated: AtomicU64,
 }
 
@@ -109,13 +107,13 @@ impl RunSeries {
 
     /// Appends one iteration's measurements; points beyond the cap are
     /// dropped and counted. A poisoned lock degrades to dropping.
-    pub fn push(&self, stats: IterationStats) {
+    pub fn push(&self, point: IterationPoint) {
         let Ok(mut points) = self.points.lock() else {
             self.truncated.fetch_add(1, Ordering::Relaxed);
             return;
         };
         if points.len() < self.cap {
-            points.push(stats);
+            points.push(point);
         } else {
             self.truncated.fetch_add(1, Ordering::Relaxed);
         }
@@ -137,7 +135,7 @@ impl RunSeries {
     }
 
     /// A copy of the buffered points, iteration order.
-    pub fn snapshot(&self) -> Vec<IterationStats> {
+    pub fn snapshot(&self) -> Vec<IterationPoint> {
         self.points.lock().map(|p| p.clone()).unwrap_or_default()
     }
 }
@@ -146,8 +144,8 @@ impl RunSeries {
 mod tests {
     use super::*;
 
-    fn point(iteration: usize) -> IterationStats {
-        IterationStats {
+    fn point(iteration: usize) -> IterationPoint {
+        IterationPoint {
             iteration,
             dirty: 10,
             changed: 2,

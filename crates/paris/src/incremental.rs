@@ -154,32 +154,6 @@ pub fn realign_incremental<'a>(
     config: &ParisConfig,
     options: &IncrementalOptions,
 ) -> IncrementalRun<'a> {
-    realign_incremental_traced(
-        kb1,
-        kb2,
-        previous,
-        seeds,
-        config,
-        options,
-        &paris_obs::trace::NullSink,
-    )
-}
-
-/// [`realign_incremental`] with a per-iteration trace: one
-/// [`AlignEvent`](paris_obs::trace::AlignEvent) per settling iteration,
-/// carrying the dirty-set size, the assignment churn, and the largest
-/// per-row score movement — the signals that explain *why* an
-/// incremental run settled (or kept rippling).
-#[allow(clippy::too_many_arguments)]
-pub fn realign_incremental_traced<'a>(
-    kb1: &'a Kb,
-    kb2: &'a Kb,
-    previous: &OwnedAlignment,
-    seeds: &DirtySeeds,
-    config: &ParisConfig,
-    options: &IncrementalOptions,
-    sink: &dyn paris_obs::trace::TraceSink,
-) -> IncrementalRun<'a> {
     let bridge = LiteralBridge::build(kb1, kb2, &config.literal_similarity);
     let literal_pairs = bridge.num_pairs();
     let mut equiv = previous
@@ -403,14 +377,6 @@ pub fn realign_incremental_traced<'a>(
         let settled = stats.changed_fraction < config.convergence_change
             && changed_rel1.is_empty()
             && changed_rel2.is_empty();
-        sink.event(&paris_obs::trace::AlignEvent {
-            phase: "incremental",
-            iteration,
-            dirty: subset.len(),
-            churn: stats.changed,
-            max_delta: deltas1.iter().map(|&(_, d)| d).fold(0.0f64, f64::max),
-            elapsed_secs: stats.instance_seconds + stats.subrelation_seconds,
-        });
         iterations.push(stats);
         if settled {
             break;

@@ -12,7 +12,8 @@
 //! `convergence_change` of the instances change their maximal assignment.
 
 use paris_kb::{EntityId, Kb};
-use paris_obs::trace::{AlignEvent, NullSink, TraceSink};
+use paris_obs::series::{score_histogram, IterationPoint, RunSeries};
+use paris_obs::span::{Span, SpanCollector, SpanId};
 use paris_rdf::Iri;
 
 use crate::config::ParisConfig;
@@ -221,71 +222,17 @@ impl<'a> Aligner<'a> {
     /// Runs to convergence (or the iteration cap) and computes the final
     /// class alignment.
     pub fn run(&self) -> AlignmentResult<'a> {
-        self.run_with_progress(|_| {})
+        self.run_with(&mut Observe::default())
     }
 
-    /// Like [`run`](Self::run), invoking `progress` after every iteration —
-    /// used by the benches to print per-iteration table rows.
-    pub fn run_with_progress(&self, progress: impl FnMut(&IterationStats)) -> AlignmentResult<'a> {
-        self.run_inner(progress, &NullSink, None, None, None)
-    }
-
-    /// Like [`run`](Self::run), emitting one [`AlignEvent`] per fixpoint
-    /// iteration to `sink` — the observability form of the paper's
-    /// per-iteration tables (dirty rows, assignment churn, score
-    /// movement, elapsed time).
-    pub fn run_traced(&self, sink: &dyn TraceSink) -> AlignmentResult<'a> {
-        self.run_inner(|_| {}, sink, None, None, None)
-    }
-
-    /// Like [`run_traced`](Self::run_traced), additionally recording a
-    /// span tree into `collector`: one `iteration` span per fixpoint
-    /// round (hung under `parent`) with `instance_pass` /
-    /// `subrelation_pass` children carrying entity counts and dirty-set
-    /// sizes, plus a final `class_pass` span. The collector can be
-    /// snapshotted live mid-run, which is how `GET /v1/jobs/<id>`
-    /// surfaces alignment progress.
-    pub fn run_spanned(
-        &self,
-        sink: &dyn TraceSink,
-        collector: &paris_obs::span::SpanCollector,
-        parent: paris_obs::span::SpanId,
-    ) -> AlignmentResult<'a> {
-        self.run_inner(|_| {}, sink, Some(collector), Some(parent), None)
-    }
-
-    /// Like [`run_spanned`](Self::run_spanned), additionally pushing one
-    /// [`paris_obs::series::IterationStats`] point per fixpoint round
-    /// into `series`: dirty count, assignment churn, pair turnover
-    /// (new/dropped assignments), the per-mille distribution of
-    /// assignment probabilities, and per-pass durations. The series can
-    /// be snapshotted concurrently — it is the live convergence curve
-    /// `GET /v1/jobs/<id>` renders while the job runs.
-    pub fn run_observed(
-        &self,
-        sink: &dyn TraceSink,
-        collector: &paris_obs::span::SpanCollector,
-        parent: paris_obs::span::SpanId,
-        series: &paris_obs::series::RunSeries,
-    ) -> AlignmentResult<'a> {
-        self.run_inner(|_| {}, sink, Some(collector), Some(parent), Some(series))
-    }
-
-    fn run_inner(
-        &self,
-        mut progress: impl FnMut(&IterationStats),
-        sink: &dyn TraceSink,
-        collector: Option<&paris_obs::span::SpanCollector>,
-        span_parent: Option<paris_obs::span::SpanId>,
-        series: Option<&paris_obs::series::RunSeries>,
-    ) -> AlignmentResult<'a> {
+    /// Like [`run`](Self::run), reporting every fixpoint iteration to the
+    /// observers in `observe`. The result is bit-identical to `run`'s.
+    pub fn run_with(&self, observe: &mut Observe<'_>) -> AlignmentResult<'a> {
         let (kb1, kb2, config) = (self.kb1, self.kb2, &self.config);
-        // Every iteration span hangs under `span_parent` (the caller's
-        // enclosing span) or, absent one, directly under the collector
-        // root.
-        let spanner = collector.map(|c| (c, span_parent.unwrap_or(c.root().span)));
         let bridge = LiteralBridge::build(kb1, kb2, &config.literal_similarity);
         let literal_pairs = bridge.num_pairs();
+        // The rows an instance pass rescores: every KB-1 instance.
+        let rescored = kb1.num_instances() as u64;
 
         let mut equiv = EquivStore::new(kb1.num_entities(), kb2.num_entities());
         let mut subrel = SubrelStore::bootstrap(
@@ -300,17 +247,13 @@ impl<'a> Aligner<'a> {
         let mut equiv_informed = false;
 
         for iteration in 1..=config.max_iterations {
-            let mut iter_span = spanner.map(|(c, parent)| {
-                let mut s = c.begin_child("iteration", parent);
+            let iter_span = observe.begin("iteration", None).map(|mut s| {
                 s.attr_int("iteration", iteration as u64);
                 s
             });
 
             // ---- instance pass (uses the previous iteration's equalities)
-            let mut pass_span = match (spanner, &iter_span) {
-                (Some((c, _)), Some(i)) => Some(c.begin_child("instance_pass", i.id)),
-                _ => None,
-            };
+            let pass_span = observe.begin("instance_pass", iter_span.as_ref());
             let t0 = paris_obs::span::now_ns();
             let cand = forward_view(kb1, &equiv, &bridge, config, equiv_informed);
             let mut rows = instance_pass(kb1, kb2, &cand, &subrel, config);
@@ -324,27 +267,21 @@ impl<'a> Aligner<'a> {
             let changed = equiv.assignment_changes(&new_equiv);
             // The previous assignment is only materialized when someone
             // is watching the series — `run()`'s cost is unchanged.
-            let prev_assignment = series.map(|_| equiv.maximal_assignment());
+            let prev_assignment = observe.series.map(|_| equiv.maximal_assignment());
             let assignment = new_equiv.maximal_assignment();
             let assigned = assignment.iter().filter(|a| a.is_some()).count();
             let score_sum: f64 = assignment.iter().flatten().map(|&(_, p)| p).sum();
             equiv = new_equiv;
             equiv_informed = !subrel.is_bootstrap();
-            if let (Some((c, _)), Some(mut s)) = (spanner, pass_span.take()) {
-                // A full pass rescores every KB-1 entity: that *is* the
-                // dirty set.
-                s.attr_int("dirty", kb1.num_entities() as u64);
+            observe.finish(pass_span, |s| {
+                s.attr_int("dirty", rescored);
                 s.attr_int("changed", changed as u64);
                 s.attr_int("assigned", assigned as u64);
                 s.attr_int("equivalences", equiv.num_pairs() as u64);
-                c.finish(s);
-            }
+            });
 
             // ---- sub-relation passes (use the fresh equalities)
-            let mut pass_span = match (spanner, &iter_span) {
-                (Some((c, _)), Some(i)) => Some(c.begin_child("subrelation_pass", i.id)),
-                _ => None,
-            };
+            let pass_span = observe.begin("subrelation_pass", iter_span.as_ref());
             let t1 = paris_obs::span::now_ns();
             let cand_fwd = forward_view(kb1, &equiv, &bridge, config, equiv_informed);
             let one = subrelation_pass(kb1, kb2, &cand_fwd, config);
@@ -352,10 +289,9 @@ impl<'a> Aligner<'a> {
             let two = subrelation_pass(kb2, kb1, &cand_rev, config);
             subrel = SubrelStore::from_rows(one, two);
             let subrelation_seconds = paris_obs::span::seconds_since(t1);
-            if let (Some((c, _)), Some(mut s)) = (spanner, pass_span.take()) {
-                s.attr_int("entries", subrel.num_entries() as u64);
-                c.finish(s);
-            }
+            observe.finish(pass_span, |s| {
+                s.attr_int("entries", subrel.num_entries() as u64)
+            });
 
             let stats = IterationStats {
                 iteration,
@@ -367,29 +303,17 @@ impl<'a> Aligner<'a> {
                 instance_seconds,
                 subrelation_seconds,
             };
-            if let Some(series) = series {
-                let (mut new_pairs, mut dropped_pairs) = (0u64, 0u64);
-                if let Some(prev) = &prev_assignment {
-                    for (p, n) in prev.iter().zip(assignment.iter()) {
-                        match (p.is_some(), n.is_some()) {
-                            (false, true) => new_pairs += 1,
-                            (true, false) => dropped_pairs += 1,
-                            _ => {}
-                        }
-                    }
-                }
-                series.push(paris_obs::series::IterationStats {
-                    iteration,
-                    dirty: kb1.num_entities() as u64,
-                    changed: changed as u64,
-                    new_pairs,
-                    dropped_pairs,
-                    assigned: assigned as u64,
-                    scores: paris_obs::series::score_histogram(
-                        assignment.iter().flatten().map(|&(_, p)| p),
-                    ),
-                    instance_us: (instance_seconds * 1e6) as u64,
-                    subrelation_us: (subrelation_seconds * 1e6) as u64,
+            if let (Some(series), Some(prev)) = (observe.series, &prev_assignment) {
+                series.push(IterationPoint {
+                    iteration: stats.iteration,
+                    dirty: rescored,
+                    changed: stats.changed as u64,
+                    new_pairs: unassigned_in(&assignment, prev),
+                    dropped_pairs: unassigned_in(prev, &assignment),
+                    assigned: stats.assigned_instances as u64,
+                    scores: score_histogram(assignment.iter().flatten().map(|&(_, p)| p)),
+                    instance_us: (stats.instance_seconds * 1e6) as u64,
+                    subrelation_us: (stats.subrelation_seconds * 1e6) as u64,
                 });
             }
             // Convergence is the paper's criterion — the maximal
@@ -411,36 +335,28 @@ impl<'a> Aligner<'a> {
             let done = iteration > 1
                 && stats.changed_fraction < config.convergence_change
                 && scores_stable;
-            progress(&stats);
-            sink.event(&AlignEvent {
-                phase: "align",
-                iteration,
-                dirty: kb1.num_entities(),
-                churn: changed,
-                max_delta: score_delta,
-                elapsed_secs: stats.instance_seconds + stats.subrelation_seconds,
-            });
+            if let Some(progress) = observe.progress.as_mut() {
+                progress(&stats);
+            }
             iterations.push(stats);
-            if let (Some((c, _)), Some(mut s)) = (spanner, iter_span.take()) {
+            observe.finish(iter_span, |s| {
                 s.attr_int("churn", changed as u64);
                 s.attr_f64("score_delta", score_delta);
-                c.finish(s);
-            }
+            });
             if done {
                 break;
             }
         }
 
         // ---- final class pass (§5.1: "in a last step")
-        let mut class_span = spanner.map(|(c, parent)| c.begin_child("class_pass", parent));
+        let class_span = observe.begin("class_pass", None);
         let t2 = paris_obs::span::now_ns();
         let classes = subclass_pass(kb1, kb2, &equiv, config);
         let class_seconds = paris_obs::span::seconds_since(t2);
-        if let (Some((c, _)), Some(mut s)) = (spanner, class_span.take()) {
+        observe.finish(class_span, |s| {
             s.attr_int("classes_kb1", kb1.num_classes() as u64);
             s.attr_int("classes_kb2", kb2.num_classes() as u64);
-            c.finish(s);
-        }
+        });
 
         AlignmentResult {
             kb1,
@@ -455,6 +371,51 @@ impl<'a> Aligner<'a> {
             config: config.clone(),
         }
     }
+}
+
+/// What [`Aligner::run_with`] reports to while the fixpoint runs. Each
+/// observer is optional and none of them changes the result; the
+/// [`Default`] watches nothing, which is what [`Aligner::run`] passes.
+#[derive(Default)]
+pub struct Observe<'o> {
+    /// A span collector and the span the run hangs under: one
+    /// `iteration` span per fixpoint round with `instance_pass` /
+    /// `subrelation_pass` children (rows rescored, churn, entry counts),
+    /// then a final `class_pass`. The collector can be snapshotted live,
+    /// which is how `GET /v1/jobs/<id>` renders alignment progress.
+    pub spans: Option<(&'o SpanCollector, SpanId)>,
+    /// Receives one [`IterationPoint`] per round: the [`IterationStats`]
+    /// row plus pair turnover and the per-mille score histogram — the
+    /// live convergence curve of a running job.
+    pub series: Option<&'o RunSeries>,
+    /// Called with each round's [`IterationStats`] row, e.g. to print
+    /// the paper's per-iteration tables.
+    pub progress: Option<&'o mut dyn FnMut(&IterationStats)>,
+}
+
+impl Observe<'_> {
+    /// Opens span `name` under `parent`, or under the observer's own
+    /// parent span when `parent` is `None`; `None` when spans are off.
+    fn begin(&self, name: &'static str, parent: Option<&Span>) -> Option<Span> {
+        let (collector, root) = self.spans?;
+        Some(collector.begin_child(name, parent.map_or(root, |p| p.id)))
+    }
+
+    /// Annotates and closes a span opened by [`begin`](Self::begin).
+    fn finish(&self, span: Option<Span>, annotate: impl FnOnce(&mut Span)) {
+        if let (Some((collector, _)), Some(mut span)) = (self.spans, span) {
+            annotate(&mut span);
+            collector.finish(span);
+        }
+    }
+}
+
+/// Instances assigned in `from` that are unassigned in `to`.
+fn unassigned_in(from: &[Option<(EntityId, f64)>], to: &[Option<(EntityId, f64)>]) -> u64 {
+    from.iter()
+        .zip(to)
+        .filter(|(f, t)| f.is_some() && t.is_none())
+        .count() as u64
 }
 
 /// Blends freshly computed equivalence rows with the previous iteration's
@@ -577,75 +538,13 @@ mod blend_tests {
         EntityId::from_index(i)
     }
 
-    /// `run_spanned` yields the same alignment as `run` and records one
-    /// parent-linked span tree per iteration plus a final class pass.
+    /// `run_with` feeds all three observers: one parent-linked span
+    /// tree per iteration plus a final class pass, one series point per
+    /// iteration consistent with the paper-table rows, and one progress
+    /// call per row — and the run still matches the unobserved one.
     #[test]
-    fn run_spanned_records_iteration_trees() {
-        use paris_obs::span::{SpanCollector, SpanContext};
-        use paris_rdf::Literal;
-
-        let mut a = paris_kb::KbBuilder::new("left");
-        a.add_literal_fact(
-            "http://a/alice",
-            "http://a/email",
-            Literal::plain("alice@x.org"),
-        );
-        let mut b = paris_kb::KbBuilder::new("right");
-        b.add_literal_fact(
-            "http://b/asmith",
-            "http://b/mail",
-            Literal::plain("alice@x.org"),
-        );
-        let (kb1, kb2) = (a.build(), b.build());
-        let aligner = Aligner::new(&kb1, &kb2, ParisConfig::default());
-
-        let collector = SpanCollector::new(SpanContext::new_root());
-        let root = collector.root();
-        let result = aligner.run_spanned(&NullSink, &collector, root.span);
-        assert_eq!(
-            result
-                .instance_alignment_by_iri("http://a/alice")
-                .unwrap()
-                .as_str(),
-            "http://b/asmith"
-        );
-
-        let spans = collector.snapshot();
-        let iters: Vec<_> = spans.iter().filter(|s| s.name == "iteration").collect();
-        assert_eq!(iters.len(), result.iterations.len());
-        for iter in &iters {
-            assert_eq!(iter.parent, Some(root.span));
-            assert!(iter.end_ns >= iter.start_ns);
-            let passes: Vec<_> = spans.iter().filter(|s| s.parent == Some(iter.id)).collect();
-            assert!(
-                passes.iter().any(|s| s.name == "instance_pass"),
-                "{passes:?}"
-            );
-            assert!(
-                passes.iter().any(|s| s.name == "subrelation_pass"),
-                "{passes:?}"
-            );
-            // The instance pass reports its dirty set (all KB-1 entities).
-            let instance = passes.iter().find(|s| s.name == "instance_pass").unwrap();
-            assert!(instance.attrs.iter().any(|(k, v)| *k == "dirty"
-                && *v == paris_obs::span::AttrValue::Int(kb1.num_entities() as u64)));
-        }
-        let class = spans
-            .iter()
-            .find(|s| s.name == "class_pass")
-            .expect("class pass span");
-        assert_eq!(class.parent, Some(root.span));
-        // Every span shares the collector's trace.
-        assert!(spans.iter().all(|s| s.trace == root.trace));
-    }
-
-    /// `run_observed` fills the convergence series: one point per
-    /// iteration, scores per-mille, pair turnover consistent with the
-    /// paper-table stats.
-    #[test]
-    fn run_observed_fills_the_series() {
-        use paris_obs::series::RunSeries;
-        use paris_obs::span::{SpanCollector, SpanContext};
+    fn run_with_reports_to_every_observer() {
+        use paris_obs::span::{AttrValue, SpanContext};
         use paris_rdf::Literal;
 
         let mut a = paris_kb::KbBuilder::new("left");
@@ -663,25 +562,22 @@ mod blend_tests {
             );
         }
         let (kb1, kb2) = (a.build(), b.build());
+        // The instance pass rescores instances only, not the literals.
+        let rescored = kb1.num_instances() as u64;
+        assert!(rescored < kb1.num_entities() as u64);
         let aligner = Aligner::new(&kb1, &kb2, ParisConfig::default());
         let collector = SpanCollector::new(SpanContext::new_root());
+        let root = collector.root();
         let series = RunSeries::new();
-        let result = aligner.run_observed(&NullSink, &collector, collector.root().span, &series);
-
-        let points = series.snapshot();
-        assert_eq!(points.len(), result.iterations.len());
-        for (point, stats) in points.iter().zip(&result.iterations) {
-            assert_eq!(point.iteration, stats.iteration);
-            assert_eq!(point.changed, stats.changed as u64);
-            assert_eq!(point.assigned, stats.assigned_instances as u64);
-            assert_eq!(point.dirty, kb1.num_entities() as u64);
-            assert_eq!(point.scores.count, stats.assigned_instances as u64);
-            assert!(point.scores.max <= 1000);
-        }
-        // Iteration 1 assigns everything fresh: all pairs are new.
-        assert_eq!(points[0].new_pairs, points[0].assigned);
-        assert_eq!(points[0].dropped_pairs, 0);
-        // The run matches the unobserved one.
+        let mut seen = Vec::new();
+        let mut progress = |s: &IterationStats| seen.push(s.iteration);
+        let result = aligner.run_with(&mut Observe {
+            spans: Some((&collector, root.span)),
+            series: Some(&series),
+            progress: Some(&mut progress),
+        });
+        let expected: Vec<usize> = result.iterations.iter().map(|s| s.iteration).collect();
+        assert_eq!(seen, expected);
         assert_eq!(
             result
                 .instance_alignment_by_iri("http://a/p3")
@@ -689,6 +585,47 @@ mod blend_tests {
                 .as_str(),
             "http://b/q3"
         );
+
+        let spans = collector.snapshot();
+        let iters: Vec<_> = spans.iter().filter(|s| s.name == "iteration").collect();
+        assert_eq!(iters.len(), result.iterations.len());
+        for iter in &iters {
+            assert_eq!(iter.parent, Some(root.span));
+            assert!(iter.end_ns >= iter.start_ns);
+            let passes: Vec<_> = spans.iter().filter(|s| s.parent == Some(iter.id)).collect();
+            assert!(
+                passes.iter().any(|s| s.name == "subrelation_pass"),
+                "{passes:?}"
+            );
+            let instance = passes
+                .iter()
+                .find(|s| s.name == "instance_pass")
+                .expect("instance pass span");
+            assert!(instance
+                .attrs
+                .iter()
+                .any(|(k, v)| *k == "dirty" && *v == AttrValue::Int(rescored)));
+        }
+        let class = spans
+            .iter()
+            .find(|s| s.name == "class_pass")
+            .expect("class pass span");
+        assert_eq!(class.parent, Some(root.span));
+        assert!(spans.iter().all(|s| s.trace == root.trace));
+
+        let points = series.snapshot();
+        assert_eq!(points.len(), result.iterations.len());
+        for (point, stats) in points.iter().zip(&result.iterations) {
+            assert_eq!(point.iteration, stats.iteration);
+            assert_eq!(point.changed, stats.changed as u64);
+            assert_eq!(point.assigned, stats.assigned_instances as u64);
+            assert_eq!(point.dirty, rescored);
+            assert_eq!(point.scores.count, stats.assigned_instances as u64);
+            assert!(point.scores.max <= 1000);
+        }
+        // Iteration 1 assigns everything fresh: all pairs are new.
+        assert_eq!(points[0].new_pairs, points[0].assigned);
+        assert_eq!(points[0].dropped_pairs, 0);
     }
 
     #[test]

@@ -55,10 +55,10 @@ pub use equiv::{CandidateView, EquivStore};
 pub use explain::{explain_stored, Evidence, Explanation, StoredEvidence, StoredExplanation};
 pub use image::{FactRow, PairImage, PairSide};
 pub use incremental::{
-    realign_incremental, realign_incremental_traced, update_snapshot, DirtySeeds,
-    IncrementalOptions, IncrementalReport, IncrementalRun, UpdateReport,
+    realign_incremental, update_snapshot, DirtySeeds, IncrementalOptions, IncrementalReport,
+    IncrementalRun, UpdateReport,
 };
-pub use iteration::{Aligner, AlignmentResult, IterationStats};
+pub use iteration::{Aligner, AlignmentResult, IterationStats, Observe};
 pub use literal_bridge::LiteralBridge;
 pub use owned::{AlignedPairSnapshot, OwnedAlignment};
 pub use paris_obs as obs;

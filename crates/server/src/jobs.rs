@@ -15,7 +15,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use paris_core::{
-    AlignedPairSnapshot, Aligner, AssignmentSketch, MappedPairSnapshot, OwnedAlignment, ParisConfig,
+    AlignedPairSnapshot, Aligner, AssignmentSketch, MappedPairSnapshot, Observe, OwnedAlignment,
+    ParisConfig,
 };
 use paris_kb::MappedKbSnapshot;
 use paris_obs::series::RunSeries;
@@ -344,18 +345,15 @@ fn run_job(
     if let Some(cap) = request.max_iterations {
         config.max_iterations = cap.max(1);
     }
-    // Trace every fixpoint iteration to the daemon's stderr as JSON
-    // lines — a long batch job's progress (dirty set, churn, score
-    // movement) is otherwise invisible until it finishes — record each
-    // iteration's pass spans under the `align` span, and fill the live
-    // per-iteration series `GET /v1/jobs/<id>` serves while we run.
+    // Record each iteration's pass spans under the `align` span and fill
+    // the live per-iteration series `GET /v1/jobs/<id>` serves while we
+    // run — a long batch job's progress is visible before it finishes.
     let mut align = collector.begin("align");
-    let result = Aligner::new(&kb1, &kb2, config).run_observed(
-        &paris_obs::trace::stderr_json(),
-        collector,
-        align.id,
-        series,
-    );
+    let result = Aligner::new(&kb1, &kb2, config).run_with(&mut Observe {
+        spans: Some((collector, align.id)),
+        series: Some(series),
+        progress: None,
+    });
     let owned = OwnedAlignment::from_result(&result);
     let sketch = AssignmentSketch::of_result(&result);
     let outcome = JobOutcome {

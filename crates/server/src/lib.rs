@@ -2477,7 +2477,7 @@ fn score_histogram_json(snap: &obs::HistogramSnapshot) -> String {
 }
 
 /// One point of a live convergence series.
-fn iteration_point_json(p: &obs::series::IterationStats) -> String {
+fn iteration_point_json(p: &obs::series::IterationPoint) -> String {
     json::Object::new()
         .int("iteration", p.iteration as u64)
         .int("dirty", p.dirty)

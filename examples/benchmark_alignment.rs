@@ -9,7 +9,7 @@
 
 use paris_repro::datagen::persons::{generate, PersonsConfig};
 use paris_repro::eval::{evaluate_classes_1to2, evaluate_instances, evaluate_relations};
-use paris_repro::paris::{Aligner, ParisConfig};
+use paris_repro::paris::{Aligner, IterationStats, Observe, ParisConfig};
 
 fn main() {
     let pair = generate(&PersonsConfig::default());
@@ -20,7 +20,7 @@ fn main() {
     );
 
     let aligner = Aligner::new(&pair.kb1, &pair.kb2, ParisConfig::default());
-    let result = aligner.run_with_progress(|stats| {
+    let mut print = |stats: &IterationStats| {
         println!(
             "iteration {}: {} instances assigned, {:.1}% changed, {:.2}s",
             stats.iteration,
@@ -28,6 +28,10 @@ fn main() {
             stats.changed_fraction * 100.0,
             stats.instance_seconds + stats.subrelation_seconds,
         );
+    };
+    let result = aligner.run_with(&mut Observe {
+        progress: Some(&mut print),
+        ..Observe::default()
     });
 
     println!(

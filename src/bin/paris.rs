@@ -27,7 +27,7 @@ use paris_repro::datagen;
 use paris_repro::eval::Counts;
 use paris_repro::kb::{kb_from_file, Kb, KbStats};
 use paris_repro::literals::LiteralSimilarity;
-use paris_repro::paris::{Aligner, ParisConfig};
+use paris_repro::paris::{Aligner, IterationStats, Observe, ParisConfig};
 use paris_repro::rdf::Iri;
 
 const USAGE: &str = "\
@@ -438,7 +438,7 @@ fn align(args: &[String]) -> Result<(), String> {
     eprintln!("loaded {}", KbStats::of(&kb2));
 
     let aligner = Aligner::new(&kb1, &kb2, opts.config.clone());
-    let result = aligner.run_with_progress(|stats| {
+    let mut print = |stats: &IterationStats| {
         eprintln!(
             "iteration {}: {} assigned, {:.1}% changed, {:.2}s",
             stats.iteration,
@@ -446,6 +446,10 @@ fn align(args: &[String]) -> Result<(), String> {
             stats.changed_fraction * 100.0,
             stats.instance_seconds + stats.subrelation_seconds,
         );
+    };
+    let result = aligner.run_with(&mut Observe {
+        progress: Some(&mut print),
+        ..Observe::default()
     });
 
     let pairs = result.instance_pairs();

@@ -2,7 +2,7 @@
 //! stability of the converged state.
 
 use paris_repro::datagen::{persons, restaurants, PersonsConfig, RestaurantsConfig};
-use paris_repro::paris::{Aligner, ParisConfig};
+use paris_repro::paris::{Aligner, IterationStats, Observe, ParisConfig};
 
 #[test]
 fn max_iterations_is_respected() {
@@ -93,8 +93,11 @@ fn iteration_stats_are_coherent() {
     assert!(result.literal_pairs > 0);
     // Progress callback sees the same stats the result records.
     let mut seen = Vec::new();
-    let r2 = Aligner::new(&pair.kb1, &pair.kb2, ParisConfig::default())
-        .run_with_progress(|s| seen.push(s.iteration));
+    let mut record = |s: &IterationStats| seen.push(s.iteration);
+    let r2 = Aligner::new(&pair.kb1, &pair.kb2, ParisConfig::default()).run_with(&mut Observe {
+        progress: Some(&mut record),
+        ..Observe::default()
+    });
     assert_eq!(seen.len(), r2.iterations.len());
 }
 

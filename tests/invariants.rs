@@ -6,7 +6,9 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use paris_repro::kb::{Kb, KbBuilder};
-use paris_repro::paris::{Aligner, ParisConfig};
+use paris_repro::paris::obs::series::RunSeries;
+use paris_repro::paris::obs::span::{SpanCollector, SpanContext};
+use paris_repro::paris::{Aligner, AlignmentResult, IterationStats, Observe, ParisConfig};
 use paris_repro::rdf::Literal;
 
 const CASES: u64 = 48;
@@ -221,4 +223,63 @@ fn self_alignment_is_sane() {
             );
         }
     }
+}
+
+/// Observing a run is a pure side channel: `run_with` with every
+/// observer on gives bit-identical results to `run`.
+#[test]
+fn observed_run_is_bit_identical_to_run() {
+    let mut rng = StdRng::seed_from_u64(0x0B5E);
+    for case in 0..CASES {
+        let kb1 = render(&random_world(&mut rng), "left");
+        let kb2 = render(&random_world(&mut rng), "right");
+        let aligner = Aligner::new(&kb1, &kb2, ParisConfig::default().with_max_iterations(4));
+        let plain = aligner.run();
+        let collector = SpanCollector::new(SpanContext::new_root());
+        let series = RunSeries::new();
+        let mut progress = |_: &IterationStats| {};
+        let observed = aligner.run_with(&mut Observe {
+            spans: Some((&collector, collector.root().span)),
+            series: Some(&series),
+            progress: Some(&mut progress),
+        });
+
+        assert_eq!(observed.iterations.len(), plain.iterations.len());
+        assert_eq!(series.len(), plain.iterations.len(), "case {case}");
+        for x in kb1.entities() {
+            assert_eq!(
+                bits(observed.instances.candidates(x)),
+                bits(plain.instances.candidates(x)),
+                "case {case}: instance row {x:?}"
+            );
+        }
+        for r in kb1.directed_relations() {
+            assert_eq!(
+                bits(observed.subrelations.row_1to2(r)),
+                bits(plain.subrelations.row_1to2(r)),
+                "case {case}: relation row {r:?}"
+            );
+        }
+        for r in kb2.directed_relations() {
+            assert_eq!(
+                bits(observed.subrelations.row_2to1(r)),
+                bits(plain.subrelations.row_2to1(r)),
+                "case {case}: relation row {r:?}"
+            );
+        }
+        let classes = |r: &AlignmentResult<'_>| {
+            let c = &r.classes;
+            c.one_to_two
+                .iter()
+                .chain(&c.two_to_one)
+                .map(|s| (s.sub, s.sup, s.prob.to_bits(), s.sampled_members))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(classes(&observed), classes(&plain), "case {case}: classes");
+    }
+}
+
+/// A score row with each probability replaced by its bit pattern.
+fn bits<K: Copy>(row: &[(K, f64)]) -> Vec<(K, u64)> {
+    row.iter().map(|&(k, p)| (k, p.to_bits())).collect()
 }

@@ -132,7 +132,8 @@ impl Kb {
     // ------------------------------------------------------------------
 
     /// All statements `r(x, y)` with `x = e`, in both directions: a fact
-    /// `r(a, b)` appears as `(r, b)` on `a` and `(r⁻¹, a)` on `b`.
+    /// `r(a, b)` appears as `(r, b)` on `a` and `(r⁻¹, a)` on `b`. Sorted
+    /// by (relation, entity), so one relation's statements are contiguous.
     #[inline]
     pub fn facts(&self, e: EntityId) -> &[(RelationId, EntityId)] {
         &self.adj[e.index()]

@@ -27,7 +27,9 @@ pub mod normalize;
 pub mod numeric;
 pub mod similarity;
 
-pub use distance::{levenshtein, levenshtein_similarity, token_jaccard};
+pub use distance::{
+    levenshtein, levenshtein_similarity, levenshtein_similarity_at_least, token_jaccard,
+};
 pub use normalize::{normalize_alnum, token_sort_key, tokens};
 pub use numeric::{parse_numeric, proportional_difference};
 pub use similarity::LiteralSimilarity;

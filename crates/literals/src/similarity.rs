@@ -19,7 +19,7 @@
 
 use paris_rdf::Literal;
 
-use crate::distance::levenshtein_similarity;
+use crate::distance::levenshtein_similarity_at_least;
 use crate::normalize::{normalize_alnum, token_sort_key};
 use crate::numeric::{canonical_key, numeric_probability, parse_numeric};
 
@@ -115,12 +115,9 @@ impl LiteralSimilarity {
                 if va == vb {
                     return 1.0;
                 }
-                let sim = levenshtein_similarity(&normalize_alnum(va), &normalize_alnum(vb));
-                if sim >= *min_similarity {
-                    sim
-                } else {
-                    0.0
-                }
+                let na: Vec<char> = normalize_alnum(va).chars().collect();
+                let nb: Vec<char> = normalize_alnum(vb).chars().collect();
+                levenshtein_similarity_at_least(&na, &nb, *min_similarity)
             }
             LiteralSimilarity::TokenSort => {
                 f64::from(u8::from(token_sort_key(va) == token_sort_key(vb)))

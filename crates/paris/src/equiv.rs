@@ -248,7 +248,8 @@ impl CandidateView {
         self.rows.is_empty()
     }
 
-    /// Probability lookup via a transient hash map when rows get long.
+    /// Probability lookup by a linear scan of `y`'s row (0 when `y2` is
+    /// not a candidate).
     pub fn prob(&self, y: EntityId, y2: EntityId) -> f64 {
         self.rows[y.index()]
             .iter()

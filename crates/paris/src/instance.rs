@@ -23,8 +23,18 @@
 //! statements `r′(x′, y′)` — O(n·m²·e) instead of O(n²·m). Candidates `x′`
 //! therefore materialize only when they share at least one (probabilistic)
 //! neighbour with `x`.
+//!
+//! Rows are scored shard by shard without per-row allocation beyond the
+//! row itself. Each shard owns a dense Eq. 13 accumulator over the KB-2
+//! entities (1.0 = untouched) plus the list of slots the current row
+//! touched; the row reads and resets exactly those slots. The Eq. 14
+//! sub-relation links are tabulated once per pass and shared read-only by
+//! every shard, and the `y′` of `r′(x′, y′)` are the contiguous `r′` run of
+//! `x′`'s adjacency (sorted by relation). Every product is formed in the
+//! same operand order as a straightforward per-row evaluation, so scores
+//! do not depend on sharding or thread count.
 
-use paris_kb::{EntityId, EntityKind, FxHashMap, Kb};
+use paris_kb::{EntityId, EntityKind, Kb, RelationId};
 
 use crate::config::ParisConfig;
 use crate::equiv::CandidateView;
@@ -63,6 +73,7 @@ pub fn instance_pass_subset(
     subrel: &SubrelStore,
     config: &ParisConfig,
 ) -> Vec<(EntityId, Vec<(EntityId, f64)>)> {
+    let scorer = RowScorer::new(kb1, kb2, cand, subrel, config);
     // Small subsets (the common incremental case) stay sequential — OS
     // thread spawns would cost more than the scoring itself. ~64 rows per
     // thread keeps the full pass sharded exactly as before.
@@ -70,27 +81,18 @@ pub fn instance_pass_subset(
         .effective_threads()
         .min(subset.len().div_ceil(64).max(1));
     if threads <= 1 {
-        return subset
-            .iter()
-            .map(|&x| (x, score_row(kb1, kb2, x, cand, subrel, config)))
-            .collect();
+        return scorer.score_shard(subset);
     }
 
     // Shard instances across worker threads; each entity's row is
     // independent, so results are identical to the sequential run.
     type ShardResult = Vec<(EntityId, Vec<(EntityId, f64)>)>;
     let chunk = subset.len().div_ceil(threads);
+    let scorer = &scorer;
     let results: Vec<ShardResult> = std::thread::scope(|scope| {
         let handles: Vec<_> = subset
             .chunks(chunk)
-            .map(|shard| {
-                scope.spawn(move || {
-                    shard
-                        .iter()
-                        .map(|&x| (x, score_row(kb1, kb2, x, cand, subrel, config)))
-                        .collect::<Vec<_>>()
-                })
-            })
+            .map(|shard| scope.spawn(move || scorer.score_shard(shard)))
             .collect();
         handles
             .into_iter()
@@ -100,99 +102,158 @@ pub fn instance_pass_subset(
     results.into_iter().flatten().collect()
 }
 
-/// Scores all candidates of one KB-1 instance.
-fn score_row(
-    kb1: &Kb,
-    kb2: &Kb,
-    x: EntityId,
-    cand: &CandidateView,
-    subrel: &SubrelStore,
-    config: &ParisConfig,
-) -> Vec<(EntityId, f64)> {
-    // Product accumulator per candidate x′ (the big ∏ of Eq. 13).
-    let mut acc: FxHashMap<EntityId, f64> = FxHashMap::default();
+/// One Eq. 14 link of a KB-1 relation `r`: `(r′, Pr(r⊆r′), Pr(r′⊆r))`.
+type Link = (RelationId, f64, f64);
 
-    for &(r, y) in kb1.facts(x) {
-        let fun_inv_r = kb1.functionality(r.inverse());
-        for &(y2, p_yy) in cand.candidates(y) {
-            // Statements r′(x′, y′) with y′ = y2: each adjacency entry
-            // (q, z) of y2 means q(y2, z), i.e. q⁻¹(z, y2) — so r′ = q⁻¹,
-            // x′ = z.
-            for &(q, z) in kb2.facts(y2) {
-                if kb2.kind(z) != EntityKind::Instance {
-                    continue;
-                }
-                let r2 = q.inverse();
-                let p_r2_in_r = subrel.prob_2in1(r2, r);
-                let p_r_in_r2 = subrel.prob_1in2(r, r2);
-                if p_r2_in_r == 0.0 && p_r_in_r2 == 0.0 {
-                    continue;
-                }
-                let fun_inv_r2 = kb2.functionality(r2.inverse());
-                let factor =
-                    (1.0 - p_r2_in_r * fun_inv_r * p_yy) * (1.0 - p_r_in_r2 * fun_inv_r2 * p_yy);
-                if factor < 1.0 {
-                    *acc.entry(z).or_insert(1.0) *= factor;
-                }
-            }
-        }
-    }
-
-    let cutoff = config.effective_cutoff(subrel.is_bootstrap());
-    let mut row: Vec<(EntityId, f64)> = acc
-        .into_iter()
-        .map(|(x2, prod)| (x2, 1.0 - prod))
-        .filter(|&(_, p)| p >= cutoff)
-        .collect();
-
-    // Negative evidence needs informed sub-relation links AND informed
-    // neighbour probabilities. During the bootstrap iteration every
-    // relation pair carries θ (penalizing every candidate for every
-    // relation the other instance lacks), and one iteration later the
-    // neighbour probabilities are still θ-scaled (a correctly matched
-    // neighbour at Pr ≈ 2θ would read as ~80 % mismatched). Eq. 14 fires
-    // only once both inputs carry computed scores.
-    if config.negative_evidence && !subrel.is_bootstrap() && cand.is_informed() && !row.is_empty() {
-        for (x2, p) in &mut row {
-            *p *= negative_factor(kb1, kb2, x, *x2, cand, subrel);
-        }
-        row.retain(|&(_, p)| p >= cutoff);
-    }
-
-    row.sort_unstable_by_key(|&(e, _)| e);
-    row
+/// The read-only inputs of one pass, shared by every shard.
+struct RowScorer<'a> {
+    kb1: &'a Kb,
+    kb2: &'a Kb,
+    cand: &'a CandidateView,
+    subrel: &'a SubrelStore,
+    cutoff: f64,
+    /// Per KB-1 directed relation, its links with a non-zero score;
+    /// `None` while Eq. 14 is inert.
+    links: Option<Vec<Vec<Link>>>,
 }
 
-/// The Eq. 14 negative-evidence product for one candidate pair `(x, x′)`.
-fn negative_factor(
-    kb1: &Kb,
-    kb2: &Kb,
-    x: EntityId,
-    x2: EntityId,
-    cand: &CandidateView,
-    subrel: &SubrelStore,
-) -> f64 {
-    // Group x′'s statements by directed relation: r′ → [y′].
-    let mut facts2: FxHashMap<paris_kb::RelationId, Vec<EntityId>> = FxHashMap::default();
-    for &(q, y2) in kb2.facts(x2) {
-        facts2.entry(q).or_default().push(y2);
+/// Per-shard scratch, reused across the shard's rows: the Eq. 13 product
+/// of every KB-2 entity, and the entities the current row touched. A slot
+/// equal to 1.0 is untouched — only factors `< 1.0` are multiplied in.
+struct RowScratch {
+    acc: Vec<f64>,
+    touched: Vec<EntityId>,
+}
+
+impl<'a> RowScorer<'a> {
+    fn new(
+        kb1: &'a Kb,
+        kb2: &'a Kb,
+        cand: &'a CandidateView,
+        subrel: &'a SubrelStore,
+        config: &ParisConfig,
+    ) -> Self {
+        // Negative evidence needs informed sub-relation links AND informed
+        // neighbour probabilities. During the bootstrap iteration every
+        // relation pair carries θ (penalizing every candidate for every
+        // relation the other instance lacks), and one iteration later the
+        // neighbour probabilities are still θ-scaled (a correctly matched
+        // neighbour at Pr ≈ 2θ would read as ~80 % mismatched). Eq. 14
+        // fires only once both inputs carry computed scores.
+        let links = (config.negative_evidence && !subrel.is_bootstrap() && cand.is_informed())
+            .then(|| {
+                (0..kb1.num_directed_relations())
+                    .map(|i| {
+                        let mut links = subrel.links_of_kb1(
+                            RelationId::from_directed_index(i),
+                            kb2.num_directed_relations(),
+                        );
+                        links.retain(|&(_, p_r_in_r2, p_r2_in_r)| {
+                            p_r_in_r2 != 0.0 || p_r2_in_r != 0.0
+                        });
+                        links
+                    })
+                    .collect()
+            });
+        RowScorer {
+            kb1,
+            kb2,
+            cand,
+            subrel,
+            cutoff: config.effective_cutoff(subrel.is_bootstrap()),
+            links,
+        }
     }
 
-    let mut neg = 1.0;
-    for &(r, y) in kb1.facts(x) {
-        let fun_r = kb1.functionality(r);
-        // Pr(y ≡ ·) as a probe map for the inner products.
-        let y_cands = cand.candidates(y);
-        for (r2, p_r_in_r2, p_r2_in_r) in subrel.links_of_kb1(r, kb2.num_directed_relations()) {
-            if p_r_in_r2 == 0.0 && p_r2_in_r == 0.0 {
-                continue;
+    /// Scores one shard of KB-1 instances with one scratch.
+    fn score_shard(&self, shard: &[EntityId]) -> Vec<(EntityId, Vec<(EntityId, f64)>)> {
+        let mut scratch = RowScratch {
+            acc: vec![1.0; self.kb2.num_entities()],
+            touched: Vec::new(),
+        };
+        shard
+            .iter()
+            .map(|&x| (x, self.score_row(x, &mut scratch)))
+            .collect()
+    }
+
+    /// Scores all candidates of one KB-1 instance, leaving `scratch` as
+    /// it found it.
+    fn score_row(&self, x: EntityId, scratch: &mut RowScratch) -> Vec<(EntityId, f64)> {
+        let (kb1, kb2, subrel) = (self.kb1, self.kb2, self.subrel);
+        let RowScratch { acc, touched } = scratch;
+
+        // Product accumulator per candidate x′ (the big ∏ of Eq. 13).
+        for &(r, y) in kb1.facts(x) {
+            let fun_inv_r = kb1.functionality(r.inverse());
+            for &(y2, p_yy) in self.cand.candidates(y) {
+                // Statements r′(x′, y′) with y′ = y2: each adjacency entry
+                // (q, z) of y2 means q(y2, z), i.e. q⁻¹(z, y2) — so r′ = q⁻¹,
+                // x′ = z.
+                for &(q, z) in kb2.facts(y2) {
+                    if kb2.kind(z) != EntityKind::Instance {
+                        continue;
+                    }
+                    let r2 = q.inverse();
+                    let p_r2_in_r = subrel.prob_2in1(r2, r);
+                    let p_r_in_r2 = subrel.prob_1in2(r, r2);
+                    if p_r2_in_r == 0.0 && p_r_in_r2 == 0.0 {
+                        continue;
+                    }
+                    let fun_inv_r2 = kb2.functionality(r2.inverse());
+                    let factor = (1.0 - p_r2_in_r * fun_inv_r * p_yy)
+                        * (1.0 - p_r_in_r2 * fun_inv_r2 * p_yy);
+                    if factor < 1.0 {
+                        let slot = &mut acc[z.index()];
+                        if *slot == 1.0 {
+                            touched.push(z);
+                        }
+                        *slot *= factor;
+                    }
+                }
             }
-            // ∏_{y′ : r′(x′, y′)} (1 − Pr(y ≡ y′)); empty product = 1
-            // (the paper's convention when x′ lacks the relation, which
-            // *keeps* the penalty factors below < 1).
-            let mut inner = 1.0;
-            if let Some(ys) = facts2.get(&r2) {
-                for &y2 in ys {
+        }
+
+        let mut row: Vec<(EntityId, f64)> = Vec::new();
+        for x2 in touched.drain(..) {
+            let slot = &mut acc[x2.index()];
+            let p = 1.0 - *slot;
+            *slot = 1.0;
+            if p >= self.cutoff {
+                row.push((x2, p));
+            }
+        }
+
+        if let Some(links) = &self.links {
+            if !row.is_empty() {
+                for (x2, p) in &mut row {
+                    *p *= self.negative_factor(x, *x2, links);
+                }
+                row.retain(|&(_, p)| p >= self.cutoff);
+            }
+        }
+
+        row.sort_unstable_by_key(|&(e, _)| e);
+        row
+    }
+
+    /// The Eq. 14 negative-evidence product for one candidate pair `(x, x′)`.
+    fn negative_factor(&self, x: EntityId, x2: EntityId, links: &[Vec<Link>]) -> f64 {
+        let (kb1, kb2) = (self.kb1, self.kb2);
+        let facts2 = kb2.facts(x2);
+        let mut neg = 1.0;
+        for &(r, y) in kb1.facts(x) {
+            let fun_r = kb1.functionality(r);
+            let y_cands = self.cand.candidates(y);
+            for &(r2, p_r_in_r2, p_r2_in_r) in &links[r.directed_index()] {
+                // ∏_{y′ : r′(x′, y′)} (1 − Pr(y ≡ y′)) over the r′ run of
+                // x′'s adjacency; empty product = 1 (the paper's convention
+                // when x′ lacks the relation, which *keeps* the penalty
+                // factors below < 1).
+                let start = facts2.partition_point(|&(q, _)| q < r2);
+                let end = facts2.partition_point(|&(q, _)| q <= r2);
+                let mut inner = 1.0;
+                for &(_, y2) in &facts2[start..end] {
                     let p = y_cands
                         .iter()
                         .find(|&&(e, _)| e == y2)
@@ -202,16 +263,16 @@ fn negative_factor(
                         break;
                     }
                 }
-            }
-            let fun_r2 = kb2.functionality(r2);
-            neg *= 1.0 - fun_r * p_r2_in_r * inner;
-            neg *= 1.0 - fun_r2 * p_r_in_r2 * inner;
-            if neg == 0.0 {
-                return 0.0;
+                let fun_r2 = kb2.functionality(r2);
+                neg *= 1.0 - fun_r * p_r2_in_r * inner;
+                neg *= 1.0 - fun_r2 * p_r_in_r2 * inner;
+                if neg == 0.0 {
+                    return 0.0;
+                }
             }
         }
+        neg
     }
-    neg
 }
 
 #[cfg(test)]
@@ -455,6 +516,50 @@ mod tests {
             p_neg < p_pos,
             "negative evidence must reduce the score: {p_neg} vs {p_pos}"
         );
+    }
+
+    #[test]
+    fn scratch_never_leaks_between_rows() {
+        // Six people whose names pair up (p0/p3, p1/p4, p2/p5 share one), so
+        // consecutive rows of one shard touch overlapping accumulator
+        // slots; distinct birth years let Eq. 14 separate the pairs.
+        let mut b1 = KbBuilder::new("a");
+        let mut b2 = KbBuilder::new("b");
+        for i in 0..6 {
+            let name = Literal::plain(format!("Name {}", i % 3));
+            let born = Literal::plain(format!("19{i}0"));
+            b1.add_literal_fact(format!("http://a/p{i}"), "http://a/name", name.clone());
+            b1.add_literal_fact(format!("http://a/p{i}"), "http://a/born", born.clone());
+            b2.add_literal_fact(format!("http://b/q{i}"), "http://b/name", name);
+            b2.add_literal_fact(format!("http://b/q{i}"), "http://b/born", born);
+        }
+        let (kb1, kb2) = (b1.build(), b2.build());
+        let cand = literal_view(&kb1, &kb2);
+        let mut one = vec![Vec::new(); kb1.num_directed_relations()];
+        let mut two = vec![Vec::new(); kb2.num_directed_relations()];
+        for (r1, r2) in [("name", "name"), ("born", "born")] {
+            let r1 = kb1.relation_by_iri(&format!("http://a/{r1}")).unwrap();
+            let r2 = kb2.relation_by_iri(&format!("http://b/{r2}")).unwrap();
+            one[r1.directed_index()].push((r2, 0.9));
+            two[r2.directed_index()].push((r1, 0.8));
+        }
+        let subrel = SubrelStore::from_rows(one, two);
+        let config = ParisConfig::default()
+            .with_threads(1)
+            .with_truncation(0.01)
+            .with_negative_evidence(true);
+
+        let full = instance_pass(&kb1, &kb2, &cand, &subrel, &config);
+        let instances: Vec<EntityId> = kb1.instances().collect();
+        assert_eq!(instances.len(), 6);
+        for x in instances {
+            let alone = instance_pass_subset(&kb1, &kb2, &[x], &cand, &subrel, &config);
+            let bits = |row: &[(EntityId, f64)]| -> Vec<(EntityId, u64)> {
+                row.iter().map(|&(e, p)| (e, p.to_bits())).collect()
+            };
+            assert!(!alone[0].1.is_empty(), "every person has a candidate");
+            assert_eq!(bits(&alone[0].1), bits(&full[x.index()]), "row of {x:?}");
+        }
     }
 
     #[test]

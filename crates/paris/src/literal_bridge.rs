@@ -8,7 +8,7 @@
 //! iteration starts.
 
 use paris_kb::{EntityId, FxHashMap, Kb};
-use paris_literals::LiteralSimilarity;
+use paris_literals::{levenshtein_similarity_at_least, normalize_alnum, LiteralSimilarity};
 
 /// The pre-computed literal bridge: candidate rows in both directions.
 #[derive(Clone, Debug)]
@@ -24,14 +24,31 @@ impl LiteralBridge {
     ///
     /// Complexity: O(#literals) expected — one hash of every KB-2 literal
     /// per key, then one lookup per KB-1 literal key; probabilities are
-    /// only evaluated for blocked candidate pairs.
+    /// only evaluated for blocked candidate pairs. Under
+    /// [`LiteralSimilarity::EditDistance`] each literal is normalized once
+    /// (not once per pair) and every pair is scored by
+    /// [`levenshtein_similarity_at_least`], bit-identically to
+    /// [`LiteralSimilarity::probability`].
     pub fn build(kb1: &Kb, kb2: &Kb, sim: &LiteralSimilarity) -> Self {
+        let min_similarity = match sim {
+            LiteralSimilarity::EditDistance { min_similarity } => Some(*min_similarity),
+            _ => None,
+        };
+        let normalized = |value: &str| -> Vec<char> { normalize_alnum(value).chars().collect() };
+
         // Index KB-2 literals by blocking key.
         let mut by_key: FxHashMap<String, Vec<EntityId>> = FxHashMap::default();
+        let mut normalized2: Vec<Vec<char>> = Vec::new();
+        if min_similarity.is_some() {
+            normalized2.resize(kb2.num_entities(), Vec::new());
+        }
         for l2 in kb2.literals() {
             let lit2 = kb2.literal(l2).expect("literals() yields literal entities");
             for key in sim.keys(lit2) {
                 by_key.entry(key).or_default().push(l2);
+            }
+            if min_similarity.is_some() {
+                normalized2[l2.index()] = normalized(lit2.value());
             }
         }
 
@@ -48,10 +65,21 @@ impl LiteralBridge {
             }
             seen.sort_unstable();
             seen.dedup();
+            let norm1 = match min_similarity {
+                Some(_) if !seen.is_empty() => normalized(lit1.value()),
+                _ => Vec::new(),
+            };
             let row = &mut forward[l1.index()];
             for &l2 in &*seen {
                 let lit2 = kb2.literal(l2).expect("candidate is a literal");
-                let p = sim.probability(lit1, lit2);
+                let p = match min_similarity {
+                    // LiteralSimilarity::probability's EditDistance arm.
+                    Some(_) if lit1.value() == lit2.value() => 1.0,
+                    Some(min) => {
+                        levenshtein_similarity_at_least(&norm1, &normalized2[l2.index()], min)
+                    }
+                    None => sim.probability(lit1, lit2),
+                };
                 if p > 0.0 {
                     row.push((l2, p));
                     backward[l2.index()].push((l1, p));

@@ -3,7 +3,8 @@
 //! assignment (§6.3 experiment 1).
 
 use paris_repro::datagen::{restaurants, RestaurantsConfig};
-use paris_repro::kb::EntityId;
+use paris_repro::kb::{EntityId, RelationId};
+use paris_repro::literals::LiteralSimilarity;
 use paris_repro::paris::{Aligner, AlignmentResult, ParisConfig};
 
 fn assignments(result: &AlignmentResult<'_>) -> Vec<Option<(EntityId, f64)>> {
@@ -20,12 +21,44 @@ fn identical_runs_are_bit_identical() {
     assert_eq!(a.subrelations.num_entries(), b.subrelations.num_entries());
 }
 
+/// Every instance row and both sub-relation directions, scores as bits.
+type ResultBits = (
+    Vec<Vec<(EntityId, u64)>>,
+    Vec<(RelationId, RelationId, u64)>,
+    Vec<(RelationId, RelationId, u64)>,
+);
+
+fn result_bits(result: &AlignmentResult<'_>) -> ResultBits {
+    let rows = result
+        .instances
+        .to_rows()
+        .iter()
+        .map(|row| row.iter().map(|&(e, p)| (e, p.to_bits())).collect())
+        .collect();
+    let bits = |(a, b, p): (RelationId, RelationId, f64)| (a, b, p.to_bits());
+    (
+        rows,
+        result.subrelations.alignments_1to2().map(bits).collect(),
+        result.subrelations.alignments_2to1().map(bits).collect(),
+    )
+}
+
 #[test]
 fn thread_count_does_not_change_results() {
     let pair = restaurants::generate(&RestaurantsConfig::default());
-    let seq = Aligner::new(&pair.kb1, &pair.kb2, ParisConfig::default().with_threads(1)).run();
-    let par = Aligner::new(&pair.kb1, &pair.kb2, ParisConfig::default().with_threads(4)).run();
-    assert_eq!(assignments(&seq), assignments(&par));
+    // The default (Eq. 13, identity literals) and the fuzzy configuration
+    // of §6.3 experiment 3 (Eq. 14 branch, edit-distance literal bridge).
+    let fuzzy = ParisConfig::default()
+        .with_negative_evidence(true)
+        .with_literal_similarity(LiteralSimilarity::EditDistance {
+            min_similarity: 0.8,
+        });
+    for config in [ParisConfig::default(), fuzzy] {
+        let seq = Aligner::new(&pair.kb1, &pair.kb2, config.clone().with_threads(1)).run();
+        let par = Aligner::new(&pair.kb1, &pair.kb2, config.clone().with_threads(4)).run();
+        assert_eq!(assignments(&seq), assignments(&par), "{config:?}");
+        assert!(result_bits(&seq) == result_bits(&par), "{config:?}");
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Shared harness for the table/figure reproduction binaries.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the index). This library holds the common piece:
+//! Most binaries in `src/bin/` regenerate one table or figure of the paper,
+//! named in their module docs. This library holds the common piece:
 //! running PARIS for 1..k iterations and evaluating the instance alignment
 //! after each, which is how the per-iteration rows of Tables 3 and 5 are
 //! produced. (Runs are deterministic, so re-running with a smaller

@@ -5,8 +5,8 @@
 //! still hosted in its 2011 form, so this crate generates *structural
 //! equivalents* from seeded latent worlds: each generator documents which
 //! properties of the original it preserves (overlap fraction, relation
-//! functionality profile, literal noise, schema-design contrast) — see
-//! DESIGN.md §3 for the substitution table.
+//! functionality profile, literal noise, schema-design contrast) in its
+//! module docs.
 //!
 //! All generators are deterministic given their config (seeded `StdRng`,
 //! no iteration-order dependence), so experiments are exactly

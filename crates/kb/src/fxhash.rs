@@ -4,7 +4,7 @@
 //! relation ids). SipHash — the standard library default — is needlessly slow
 //! for that workload; the Firefox/rustc "Fx" multiply-rotate hash is the
 //! conventional replacement. We inline the ~40-line algorithm here rather
-//! than pulling an extra dependency (see DESIGN.md §6).
+//! than pulling an extra dependency: the workspace builds on std alone.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -23,7 +23,7 @@
 //! moved less than the corresponding epsilon does not re-dirty its
 //! dependents. This makes incremental re-alignment an *approximation* of
 //! the from-scratch run whose error is bounded by the epsilons — in
-//! practice (and in the `incremental` bench's acceptance check) the
+//! practice (and in `tests/incremental_realign.rs`) the
 //! resulting scores agree with a full re-alignment to well within
 //! alignment-decision tolerance, at a fraction of the cost.
 //!

@@ -148,8 +148,11 @@ fn encode_alignment_sections(a: &OwnedAlignment, w: &mut SectionWriter) {
         meta.put_u64(s.instance_equivalences as u64);
         meta.put_u64(s.assigned_instances as u64);
         meta.put_u64(s.subrelation_entries as u64);
-        meta.put_f64(s.instance_seconds);
-        meta.put_f64(s.subrelation_seconds);
+        // The per-pass timings are wall-clock, the only run-dependent
+        // values an image would hold; writing 0.0 keeps the layout and
+        // makes an image a function of its inputs alone.
+        meta.put_f64(0.0);
+        meta.put_f64(0.0);
     }
     w.add(ALIGN_BASE + A_META, meta.bytes());
 

@@ -168,14 +168,8 @@ pub struct ServerConfig {
     /// How often a replica polls the upstream manifest.
     pub sync_interval: Duration,
     /// Structured per-request logging (one line per finished request,
-    /// to stderr unless redirected via [`Server::set_log_output`]).
-    /// `Off` by default — the CLI daemon turns it on.
+    /// to stderr). `Off` by default — the CLI daemon turns it on.
     pub log_format: LogFormat,
-    /// Master switch for the request-path telemetry (latency timing,
-    /// counters, request ids, logging). On by default; turning it off
-    /// exists for the `metrics_overhead` bench, which compares the two
-    /// settings to bound the instrumentation cost.
-    pub telemetry: bool,
     /// Capacity of the in-memory span ring buffer behind
     /// `GET /v1/debug/traces` (`paris serve --trace-buffer N`).
     /// `0` disables tracing entirely — span recording becomes a cheap
@@ -209,7 +203,6 @@ impl Default for ServerConfig {
             replica_of: None,
             sync_interval: Duration::from_secs(1),
             log_format: LogFormat::Off,
-            telemetry: true,
             trace_buffer: DEFAULT_TRACE_BUFFER,
             slow_ms: None,
             run_history: None,
@@ -373,9 +366,9 @@ struct Catalog {
     default_name: RwLock<String>,
     /// Catalog directory (rescanned by `--watch`), `None` in single mode.
     dir: Option<PathBuf>,
-    /// Telemetry: image requests answered from the resident slot.
+    /// Metric: image requests answered from the resident slot.
     image_hits: Arc<obs::Counter>,
-    /// Telemetry: images loaded from disk (first hit or reload) — the
+    /// Metric: images loaded from disk (first hit or reload) — the
     /// cache-miss side of `image_hits`.
     image_loads: Arc<obs::Counter>,
 }
@@ -496,8 +489,6 @@ struct ServeState {
     metrics: ServerMetrics,
     /// The structured request log, `None` when logging is off.
     log: Option<RequestLog>,
-    /// See [`ServerConfig::telemetry`].
-    telemetry: bool,
     /// The span ring buffer behind `GET /v1/debug/traces` (capacity 0
     /// when tracing is disabled).
     spans: Arc<obs::span::SpanStore>,
@@ -515,7 +506,6 @@ impl ServeState {
         jobs_enabled: bool,
         replica: Option<ReplicaState>,
         log_format: LogFormat,
-        telemetry: bool,
         trace_buffer: usize,
         trace_pinned: usize,
         slow_ms: Option<u64>,
@@ -581,7 +571,6 @@ impl ServeState {
             replica,
             metrics,
             log: RequestLog::new(log_format),
-            telemetry,
             spans,
             slow_ms,
             runs,
@@ -839,7 +828,6 @@ impl Server {
                 config.enable_jobs,
                 replica,
                 config.log_format,
-                config.telemetry,
                 config.trace_buffer,
                 config.trace_pinned,
                 config.slow_ms,
@@ -848,15 +836,6 @@ impl Server {
             config,
             shutdown: Arc::new(AtomicBool::new(false)),
         })
-    }
-
-    /// Redirects the structured request log (stderr by default) — e.g.
-    /// to a file, or to `std::io::sink()` in benches. A no-op while
-    /// [`ServerConfig::log_format`] is `Off`.
-    pub fn set_log_output(&self, w: Box<dyn std::io::Write + Send>) {
-        if let Some(log) = &self.state.log {
-            log.set_output(w);
-        }
     }
 
     /// Binds a single-pair server around a heap snapshot by encoding it
@@ -1255,67 +1234,63 @@ fn serve_connection(state: &ServeState, stream: TcpStream) {
             Ok(request) => {
                 state.requests.inc();
                 let keep_alive = !request.wants_close();
-                let response = if state.telemetry {
-                    // A `traceparent` header continues the caller's trace
-                    // (the replica's sync cycle, a traced client); its
-                    // absence roots a fresh one.
-                    let span = state.spans.enabled().then(|| {
-                        let parent = request
-                            .header("traceparent")
-                            .and_then(obs::span::SpanContext::parse_traceparent);
-                        state
-                            .spans
-                            .begin(metrics::route_class(&request.path), parent)
-                    });
-                    // Time routing + handling only; the observation
-                    // itself happens after the response is rendered, so
-                    // a `/v1/metrics` body never counts its own request.
-                    let t0 = Instant::now();
-                    let response = route(state, &request);
-                    let latency_us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                    let id = state.metrics.request_id(&request);
-                    let response = with_request_id(response, &id);
-                    state.observe(&request, &response, &id, latency_us);
-                    let is_slow = state
-                        .slow_ms
-                        .is_some_and(|ms| latency_us >= ms.saturating_mul(1000));
-                    let trace_hex = if is_slow {
-                        span.as_ref().map(|s| s.trace.to_hex())
-                    } else {
-                        None
-                    };
-                    if let Some(mut span) = span {
-                        span.attr_str("method", &request.method);
-                        span.attr_str("path", &request.path);
-                        span.attr_int("status", u64::from(response.status));
-                        span.attr_int("latency_us", latency_us);
-                        state.spans.finish(span);
-                    }
-                    if is_slow {
-                        state.log_slow(
-                            &id,
-                            &request.method,
-                            &request.path,
-                            metrics::pair_of(&request.path),
-                            latency_us,
-                            trace_hex.as_deref(),
-                        );
-                    }
-                    // `Server-Timing` lets browsers and HTTP tooling
-                    // surface the handler latency without parsing our
-                    // envelope; scoped to the canonical namespace.
-                    let response = if request.path.starts_with("/v1") {
-                        response.with_header(
-                            "Server-Timing",
-                            format!("app;dur={:.3}", latency_us as f64 / 1000.0),
-                        )
-                    } else {
-                        response
-                    };
-                    response.with_header("X-Request-Id", id)
+                // A `traceparent` header continues the caller's trace
+                // (the replica's sync cycle, a traced client); its
+                // absence roots a fresh one.
+                let span = state.spans.enabled().then(|| {
+                    let parent = request
+                        .header("traceparent")
+                        .and_then(obs::span::SpanContext::parse_traceparent);
+                    state
+                        .spans
+                        .begin(metrics::route_class(&request.path), parent)
+                });
+                // Time routing + handling only; the observation
+                // itself happens after the response is rendered, so
+                // a `/v1/metrics` body never counts its own request.
+                let t0 = Instant::now();
+                let response = route(state, &request);
+                let latency_us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+                let id = state.metrics.request_id(&request);
+                let response = with_request_id(response, &id);
+                state.observe(&request, &response, &id, latency_us);
+                let is_slow = state
+                    .slow_ms
+                    .is_some_and(|ms| latency_us >= ms.saturating_mul(1000));
+                let trace_hex = if is_slow {
+                    span.as_ref().map(|s| s.trace.to_hex())
                 } else {
-                    route(state, &request)
+                    None
                 };
+                if let Some(mut span) = span {
+                    span.attr_str("method", &request.method);
+                    span.attr_str("path", &request.path);
+                    span.attr_int("status", u64::from(response.status));
+                    span.attr_int("latency_us", latency_us);
+                    state.spans.finish(span);
+                }
+                if is_slow {
+                    state.log_slow(
+                        &id,
+                        &request.method,
+                        &request.path,
+                        metrics::pair_of(&request.path),
+                        latency_us,
+                        trace_hex.as_deref(),
+                    );
+                }
+                // `Server-Timing` lets browsers and HTTP tooling
+                // surface the handler latency without parsing our
+                // envelope; scoped to the canonical namespace.
+                let response = if request.path.starts_with("/v1") {
+                    response.with_header(
+                        "Server-Timing",
+                        format!("app;dur={:.3}", latency_us as f64 / 1000.0),
+                    )
+                } else {
+                    response
+                };
+                let response = response.with_header("X-Request-Id", id);
                 if response.write_to(&mut writer, keep_alive).is_err() || !keep_alive {
                     return;
                 }
@@ -2654,7 +2629,6 @@ mod tests {
             true,
             None,
             LogFormat::Off,
-            true,
             DEFAULT_TRACE_BUFFER,
             obs::span::SLOW_TRACES,
             None,
@@ -2677,7 +2651,6 @@ mod tests {
             true,
             None,
             LogFormat::Off,
-            true,
             DEFAULT_TRACE_BUFFER,
             obs::span::SLOW_TRACES,
             None,
@@ -3379,7 +3352,10 @@ mod tests {
             {"op":"sameas","iri":"http://a/nope"},
             {"op":"sameas","iri":"http://b/q2","side":"right"},
             {"op":"flarp","iri":"http://a/p1"}]}"#;
+        let hits = || s.catalog.image_hits.get();
+        let before = hits();
         let r = route(&s, &post_json("/v1/pairs/default/query", body));
+        assert_eq!(hits() - before, 1, "a batch acquires the image once");
         assert_eq!(r.status, 200, "{:?}", String::from_utf8(r.body));
         let text = String::from_utf8(r.body).unwrap();
         assert!(text.contains("\"count\":5"), "{text}");
@@ -3391,8 +3367,19 @@ mod tests {
         assert!(text.contains("\"code\":\"not_found\""), "{text}");
         assert!(text.contains("\"code\":\"bad_request\""), "{text}");
 
-        // The batch answer equals the sequential answers, element-wise.
+        // Sequential lookups acquire it once each…
+        for path in [
+            "/v1/pairs/default/neighbors?iri=http://a/p0&limit=1",
+            "/v1/pairs/default/sameas?iri=http://b/q2&side=right",
+        ] {
+            let before = hits();
+            assert_eq!(route(&s, &get(path)).status, 200, "{path}");
+            assert_eq!(hits() - before, 1, "{path}");
+        }
+        // …and the batch answer equals the sequential answers, element-wise.
+        let before = hits();
         let single = route(&s, &get("/v1/pairs/default/sameas?iri=http://a/p1"));
+        assert_eq!(hits() - before, 1);
         let single = String::from_utf8(single.body).unwrap();
         let inner = single
             .strip_prefix("{\"data\":")

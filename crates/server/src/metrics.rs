@@ -1,4 +1,4 @@
-//! Server-side telemetry: the instrument set behind `GET /v1/metrics`
+//! Server-side instrumentation: the instrument set behind `GET /v1/metrics`
 //! and the structured per-request log.
 //!
 //! Everything recorded on the request path is a relaxed atomic bump
@@ -269,10 +269,9 @@ impl LogFormat {
 }
 
 /// The structured request log: one line per finished request, written to
-/// stderr by default (swap the destination with
-/// [`Server::set_log_output`](crate::Server::set_log_output)). Each line
-/// is rendered into one buffer and written with a single locked call, so
-/// concurrent workers never interleave partial lines.
+/// stderr. Each line is rendered into one buffer and written with a
+/// single locked call, so concurrent workers never interleave partial
+/// lines.
 pub(crate) struct RequestLog {
     format: LogFormat,
     out: Mutex<Box<dyn Write + Send>>,
@@ -289,6 +288,7 @@ impl RequestLog {
         })
     }
 
+    #[cfg(test)]
     pub(crate) fn set_output(&self, w: Box<dyn Write + Send>) {
         *self.out.lock().expect("request log poisoned") = w;
     }

@@ -142,7 +142,7 @@ SERVE:
     GET  /v1/healthz              liveness, version, role, pair count
                                   (on a replica: upstream, last sync,
                                   per-pair generation lag)
-    GET  /v1/metrics              telemetry: request/route/status counts,
+    GET  /v1/metrics              metrics: request/route/status counts,
                                   latency histograms (p50/p90/p99), cache
                                   counters, per-pair generation and
                                   replication lag — Prometheus text by
@@ -213,7 +213,7 @@ QUERY:
     paris query URL pairs                           the catalog
     paris query URL stats [--pair NAME]             one pair's statistics
     paris query URL metrics [--format prometheus|json]
-                                the daemon's /v1/metrics telemetry
+                                the daemon's /v1/metrics instruments
     paris query URL traces [--format json]
                                 recent spans + slowest traces
     paris query URL traces <TRACE-ID> [--format json]

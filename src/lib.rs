@@ -25,7 +25,7 @@
 //!   multi-upstream failover) behind `paris query`, plus the shared
 //!   HTTP/1.1 client and JSON implementation the rest of the serving
 //!   stack builds on,
-//! * [`obs`] — the std-only telemetry kernel (lock-free counters,
+//! * [`obs`] — the std-only instrumentation kernel (lock-free counters,
 //!   gauges, mergeable fixed-bucket latency histograms, Prometheus/JSON
 //!   rendering, aligner trace sinks) behind `GET /v1/metrics`.
 //!

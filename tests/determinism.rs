@@ -1,11 +1,13 @@
-//! Determinism guarantees: identical runs produce identical alignments,
-//! thread count does not affect results, and θ does not affect the final
-//! assignment (§6.3 experiment 1).
+//! Determinism guarantees: identical runs produce identical alignments
+//! and byte-identical images, thread count does not affect results, and
+//! θ does not affect the final assignment (§6.3 experiment 1).
 
 use paris_repro::datagen::{restaurants, RestaurantsConfig};
 use paris_repro::kb::{EntityId, RelationId};
 use paris_repro::literals::LiteralSimilarity;
-use paris_repro::paris::{Aligner, AlignmentResult, ParisConfig};
+use paris_repro::paris::{
+    AlignedPairSnapshot, Aligner, AlignmentResult, MappedPairSnapshot, OwnedAlignment, ParisConfig,
+};
 
 fn assignments(result: &AlignmentResult<'_>) -> Vec<Option<(EntityId, f64)>> {
     result.instances.maximal_assignment()
@@ -14,11 +16,25 @@ fn assignments(result: &AlignmentResult<'_>) -> Vec<Option<(EntityId, f64)>> {
 #[test]
 fn identical_runs_are_bit_identical() {
     let pair = restaurants::generate(&RestaurantsConfig::default());
-    let a = Aligner::new(&pair.kb1, &pair.kb2, ParisConfig::default()).run();
-    let b = Aligner::new(&pair.kb1, &pair.kb2, ParisConfig::default()).run();
+    let run = |config: ParisConfig| Aligner::new(&pair.kb1, &pair.kb2, config).run();
+    let a = run(ParisConfig::default());
+    let b = run(ParisConfig::default());
     assert_eq!(assignments(&a), assignments(&b));
     assert_eq!(a.iterations.len(), b.iterations.len());
     assert_eq!(a.subrelations.num_entries(), b.subrelations.num_entries());
+
+    // The encoded image is a function of the inputs alone.
+    let image = |r: &AlignmentResult<'_>| {
+        let owned = OwnedAlignment::from_result(r);
+        MappedPairSnapshot::encode(&AlignedPairSnapshot::new(
+            pair.kb1.clone(),
+            pair.kb2.clone(),
+            owned,
+        ))
+    };
+    assert!(image(&a) == image(&b), "run vs run: images differ");
+    let threads = |n| image(&run(ParisConfig::default().with_threads(n)));
+    assert!(threads(1) == threads(4), "1 vs 4 threads: images differ");
 }
 
 /// Every instance row and both sub-relation directions, scores as bits.

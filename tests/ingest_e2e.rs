@@ -1,7 +1,7 @@
 //! End-to-end proof of out-of-core operation for `paris ingest`.
 //!
-//! A counting global allocator measures the real peak heap growth of the
-//! heap build path (`parse → KbBuilder → Kb → kb_to_bytes_v2`); the ingest
+//! The shared counting allocator (`tests/common`) measures the real peak
+//! heap growth of the heap build path (`parse → KbBuilder → Kb → kb_to_bytes_v2`); the ingest
 //! budget is then set to a quarter of that measured peak, and the test
 //! asserts the streaming pipeline (a) stays under the heap path's peak,
 //! (b) still emits byte-identical output, and (c) produces a snapshot the
@@ -9,10 +9,10 @@
 //! responses from a daemon built off the ingested images are bit-equal to
 //! ones built off the heap images.
 
-use std::alloc::{GlobalAlloc, Layout, System};
+mod common;
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use paris_repro::datagen::{movies, MoviesConfig};
@@ -23,67 +23,6 @@ use paris_repro::kb::{Kb, KbBuilder, MappedKbSnapshot};
 use paris_repro::paris::{AlignedPairSnapshot, Aligner, OwnedAlignment, ParisConfig};
 use paris_repro::rdf::ntriples::Parser;
 use paris_repro::server::{Server, ServerConfig};
-
-// ---------------------------------------------------------------- allocator
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-/// Tracks live heap bytes and their high-water mark.
-struct CountingAlloc;
-
-impl CountingAlloc {
-    fn add(size: usize) {
-        let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
-        PEAK.fetch_max(live, Ordering::Relaxed);
-    }
-
-    fn sub(size: usize) {
-        LIVE.fetch_sub(size, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: pure pass-through to the System allocator; the only added
-// behavior is relaxed atomic counter updates, which never allocate.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: delegates to System.alloc under the caller's contract.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            Self::add(layout.size());
-        }
-        p
-    }
-
-    // SAFETY: delegates to System.dealloc under the caller's contract.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) };
-        Self::sub(layout.size());
-    }
-
-    // SAFETY: delegates to System.realloc under the caller's contract.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = unsafe { System.realloc(ptr, layout, new_size) };
-        if !p.is_null() {
-            Self::sub(layout.size());
-            Self::add(new_size);
-        }
-        p
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Runs `f` and returns (result, peak heap growth in bytes above the level
-/// at entry).
-fn measure_peak<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    let out = f();
-    let peak = PEAK.load(Ordering::Relaxed);
-    (out, peak.saturating_sub(base))
-}
 
 // ---------------------------------------------------------------- HTTP bits
 
@@ -138,6 +77,7 @@ fn serve_and_probe(kb1: Kb, kb2: Kb, probes: &[String]) -> Vec<(u16, String)> {
 
 #[test]
 fn ingest_is_out_of_core_and_serves_identically() {
+    let _serial = common::serial();
     // A movies world big enough that the heap build's peak dwarfs the
     // ingest pipeline's bounded buffers.
     let pair = movies::generate(&MoviesConfig {
@@ -156,7 +96,7 @@ fn ingest_is_out_of_core_and_serves_identically() {
     drop(pair);
 
     // Measure the heap path's true peak on the bigger side.
-    let (heap_left, heap_peak) = measure_peak(|| {
+    let (heap_left, heap_peak) = common::measure_peak(|| {
         let triples = Parser::parse_all(&left_doc).unwrap();
         let mut b = KbBuilder::new("left");
         b.add_triples(&triples);
@@ -182,7 +122,7 @@ fn ingest_is_out_of_core_and_serves_identically() {
         threads: 2,
         ..IngestOptions::default()
     };
-    let (report, ingest_peak) = measure_peak(|| {
+    let (report, ingest_peak) = common::measure_peak(|| {
         ingest_reader(left_doc.as_bytes(), &left_snap, &opts).expect("ingest succeeds")
     });
 

@@ -18,7 +18,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use paris_repro::client::json::{self, Json};
-use paris_repro::client::{ParisClient, Side};
+use paris_repro::client::{HttpClient, ParisClient, Side, Upstream};
 use paris_repro::kb::{Kb, KbBuilder};
 use paris_repro::paris::{
     AlignedPairSnapshot, Aligner, MappedPairSnapshot, OwnedAlignment, ParisConfig,
@@ -477,4 +477,44 @@ fn metrics_account_for_every_request_exactly() {
 
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every response carries an `X-Request-Id` (errors repeat it in the body).
+#[test]
+fn every_response_carries_its_request_id() {
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        ..ServerConfig::default()
+    };
+    let handle = Server::bind(snapshot_of(3), config)
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let upstream = Upstream::parse(&format!("http://{}", handle.addr())).unwrap();
+    let mut client = HttpClient::new(upstream, Duration::from_secs(10));
+    for (path, status) in [
+        ("/v1/healthz", 200),
+        ("/v1/pairs/default/sameas?iri=http://a/nope", 404),
+        ("/healthz", 200),
+        ("/sameas?iri=http://a/nope", 404),
+    ] {
+        let r = client.get(path, None, 1 << 20).expect("GET");
+        assert_eq!(r.status, status, "{path}");
+        let id = r.header("x-request-id").expect("every response has an id");
+        let timed = r
+            .header("server-timing")
+            .is_some_and(|t| t.starts_with("app;dur="));
+        assert_eq!(
+            timed,
+            path.starts_with("/v1"),
+            "{path}: Server-Timing is /v1 only"
+        );
+        if status >= 400 {
+            let body = json::parse(std::str::from_utf8(&r.body).unwrap()).expect("JSON error");
+            let in_body = body.get("error").and_then(|e| e.get("request_id"));
+            assert_eq!(in_body.and_then(Json::as_str), Some(id), "{path}");
+        }
+    }
+    drop(client);
+    handle.shutdown();
 }

@@ -138,46 +138,93 @@ impl EquivStore {
     }
 
     /// The maximal assignment (§4.2): for each KB-1 entity, the KB-2
-    /// candidate with the maximum score. Ties break toward the smallest
-    /// entity id, making runs deterministic.
+    /// candidate with the maximum score, by [`argmax`].
     pub fn maximal_assignment(&self) -> Vec<Option<(EntityId, f64)>> {
-        self.forward.iter().map(|row| best_of(row)).collect()
-    }
-
-    /// The maximal assignment in the KB-2 → KB-1 direction.
-    pub fn maximal_assignment_rev(&self) -> Vec<Option<(EntityId, f64)>> {
-        self.backward.iter().map(|row| best_of(row)).collect()
-    }
-
-    /// Counts how many KB-1 entities have a different maximal assignment
-    /// in `other`, plus entities assigned in exactly one of the two.
-    ///
-    /// This is the paper's convergence measure: iterate "until the entity
-    /// pairs under the maximal assignments change no more" (§5.1).
-    pub fn assignment_changes(&self, other: &EquivStore) -> usize {
-        assert_eq!(
-            self.len_kb1(),
-            other.len_kb1(),
-            "stores must cover the same KB"
-        );
         self.forward
             .iter()
-            .zip(&other.forward)
-            .filter(|(a, b)| best_of(a).map(|(e, _)| e) != best_of(b).map(|(e, _)| e))
-            .count()
+            .map(|row| argmax(row.iter().copied()))
+            .collect()
     }
 }
 
-fn best_of(row: &[(EntityId, f64)]) -> Option<(EntityId, f64)> {
+/// The workspace's one tie rule: a row's highest probability, its earliest
+/// (smallest-id) entry on a tie; a NaN is never the maximum.
+#[inline]
+pub fn argmax(row: impl IntoIterator<Item = (EntityId, f64)>) -> Option<(EntityId, f64)> {
     let mut best: Option<(EntityId, f64)> = None;
-    for &(e, p) in row {
+    for (e, p) in row {
         match best {
-            // Strict `>` keeps the smallest id on ties (rows are sorted).
             Some((_, bp)) if p <= bp => {}
+            _ if p.is_nan() => {}
             _ => best = Some((e, p)),
         }
     }
     best
+}
+
+/// The maximal assignment of an [`EquivStore`], both directions: what the
+/// fixpoint iterates on "until the entity pairs under the maximal
+/// assignments change no more" (§5.1), and the equalities §5.2 propagates.
+#[derive(Clone, Debug, Default)]
+pub struct Assignment {
+    /// Per KB-1 entity: its best KB-2 candidate.
+    pub fwd: Vec<Option<(EntityId, f64)>>,
+    /// Per KB-2 entity: its best KB-1 candidate.
+    pub rev: Vec<Option<(EntityId, f64)>>,
+}
+
+impl Assignment {
+    /// The maximal assignment of `store`, both directions.
+    pub fn of(store: &EquivStore) -> Assignment {
+        Assignment {
+            fwd: store.maximal_assignment(),
+            rev: store
+                .backward
+                .iter()
+                .map(|row| argmax(row.iter().copied()))
+                .collect(),
+        }
+    }
+
+    /// KB-1 entities whose target differs from `prev`'s (assigned in only
+    /// one counts) — the paper's convergence measure.
+    pub fn changes(&self, prev: &Assignment) -> usize {
+        self.fwd
+            .iter()
+            .zip(&prev.fwd)
+            .filter(|(a, b)| a.map(|a| a.0) != b.map(|b| b.0))
+            .count()
+    }
+
+    /// The number of assigned KB-1 entities.
+    pub fn assigned(&self) -> usize {
+        self.fwd.iter().flatten().count()
+    }
+
+    /// The sum of the KB-1 → KB-2 assignment scores.
+    pub fn score_sum(&self) -> f64 {
+        self.fwd.iter().flatten().map(|&(_, p)| p).sum()
+    }
+
+    /// Re-derives the KB-1 rows `xs` and KB-2 rows `zs` that
+    /// [`EquivStore::replace_rows`] moved; returns how many `xs` changed.
+    pub fn refresh(
+        &mut self,
+        store: &EquivStore,
+        xs: &[EntityId],
+        zs: impl IntoIterator<Item = EntityId>,
+    ) -> usize {
+        let mut changed = 0;
+        for &x in xs {
+            let best = argmax(store.candidates(x).iter().copied());
+            changed += usize::from(best.map(|b| b.0) != self.fwd[x.index()].map(|b| b.0));
+            self.fwd[x.index()] = best;
+        }
+        for z in zs {
+            self.rev[z.index()] = argmax(store.candidates_rev(z).iter().copied());
+        }
+        changed
+    }
 }
 
 /// A per-pass, read-only view of "which KB-2 entities may `y` equal, with
@@ -236,6 +283,11 @@ impl CandidateView {
     #[inline]
     pub fn candidates(&self, y: EntityId) -> &[(EntityId, f64)] {
         &self.rows[y.index()]
+    }
+
+    /// Replaces the candidates of entity `y`.
+    pub(crate) fn set_row(&mut self, y: EntityId, row: Vec<(EntityId, f64)>) {
+        self.rows[y.index()] = row;
     }
 
     /// Number of entities covered.
@@ -301,26 +353,55 @@ mod tests {
     }
 
     #[test]
-    fn assignment_changes_counts_diffs() {
+    fn argmax_skips_nan_and_keeps_the_first_of_a_tie() {
+        assert_eq!(argmax([(e(0), f64::NAN), (e(2), 0.5)]), Some((e(2), 0.5)));
+        assert_eq!(argmax([(e(0), 0.5), (e(2), f64::NAN)]), Some((e(0), 0.5)));
+        assert_eq!(argmax([(e(1), f64::NAN)]), None);
+        assert_eq!(argmax([(e(1), 0.5), (e(3), 0.5)]), Some((e(1), 0.5)));
+        assert_eq!(argmax([]), None);
+    }
+
+    #[test]
+    fn changes_count_target_diffs() {
         let a = EquivStore::from_rows(vec![vec![(e(0), 0.9)], vec![(e(1), 0.8)], vec![]], 2);
         let b = EquivStore::from_rows(vec![vec![(e(1), 0.9)], vec![(e(1), 0.3)], vec![]], 2);
+        let (a, b) = (Assignment::of(&a), Assignment::of(&b));
         // row 0 changed target, row 1 same target (different score), row 2 same (none)
-        assert_eq!(a.assignment_changes(&b), 1);
-        assert_eq!(a.assignment_changes(&a), 0);
+        assert_eq!(a.changes(&b), 1);
+        assert_eq!(a.changes(&a), 0);
+        assert_eq!(a.assigned(), 2);
+        assert!((a.score_sum() - 1.7).abs() < 1e-12);
     }
 
     #[test]
     fn changes_count_appearing_and_disappearing() {
         let a = EquivStore::from_rows(vec![vec![(e(0), 0.9)], vec![]], 1);
         let b = EquivStore::from_rows(vec![vec![], vec![(e(0), 0.9)]], 1);
-        assert_eq!(a.assignment_changes(&b), 2);
+        assert_eq!(Assignment::of(&a).changes(&Assignment::of(&b)), 2);
     }
 
     #[test]
     fn reverse_maximal_assignment() {
         let rows = vec![vec![(e(0), 0.9)], vec![(e(0), 0.95)]];
         let s = EquivStore::from_rows(rows, 1);
-        assert_eq!(s.maximal_assignment_rev()[0], Some((e(1), 0.95)));
+        assert_eq!(Assignment::of(&s).rev[0], Some((e(1), 0.95)));
+    }
+
+    #[test]
+    fn refresh_matches_a_fresh_assignment() {
+        let rows = vec![vec![(e(1), 0.9), (e(0), 0.3)], vec![], vec![(e(1), 0.5)]];
+        let mut s = EquivStore::from_rows(rows, 3);
+        let mut a = Assignment::of(&s);
+        let changes = vec![(e(0), vec![(e(2), 0.95)]), (e(1), vec![(e(1), 0.6)])];
+        let touched: Vec<EntityId> = changes
+            .iter()
+            .flat_map(|(x, row)| s.candidates(*x).iter().chain(row).map(|&(z, _)| z))
+            .collect();
+        let xs: Vec<EntityId> = changes.iter().map(|&(x, _)| x).collect();
+        s.replace_rows(changes);
+        assert_eq!(a.refresh(&s, &xs, touched), 2);
+        let fresh = Assignment::of(&s);
+        assert_eq!((a.fwd, a.rev), (fresh.fwd, fresh.rev));
     }
 
     #[test]

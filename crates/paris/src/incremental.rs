@@ -37,8 +37,10 @@ use paris_kb::delta::{apply_owned, AppliedDelta, DeltaError, KbDelta};
 use paris_kb::{EntityId, EntityKind, FxHashSet, Kb, RelationId};
 
 use crate::config::ParisConfig;
+use crate::equiv::Assignment;
+use crate::image::PairSide;
 use crate::instance::instance_pass_subset;
-use crate::iteration::{forward_view, reverse_view, AlignmentResult, IterationStats};
+use crate::iteration::{AlignmentResult, IterationStats};
 use crate::literal_bridge::LiteralBridge;
 use crate::owned::{AlignedPairSnapshot, OwnedAlignment};
 use crate::subclass::subclass_pass;
@@ -254,19 +256,17 @@ pub fn realign_incremental<'a>(
     };
 
     // ---- the warm fixpoint loop ----------------------------------------
-    // One forward candidate view is carried across iterations and rebuilt
-    // only when equalities actually moved; the reverse view (for the KB-2
-    // sub-relation direction) is built only in iterations that rescore a
-    // KB-2 relation; the assigned-instance count and assignment-change
-    // count are maintained from the changed rows alone. This keeps a
-    // settling iteration at O(dirty), not O(KB).
+    // The maximal assignment and the forward candidate view over it are
+    // carried across iterations and re-derived only at the rows that
+    // moved; the reverse view (for the KB-2 sub-relation direction) is
+    // built only in iterations that rescore a KB-2 relation; the
+    // assigned-instance count is maintained from the changed rows alone.
+    // This keeps a settling iteration at O(dirty), not O(KB).
     let mut iterations: Vec<IterationStats> = Vec::new();
-    let mut cand = forward_view(kb1, &equiv, &bridge, config, informed);
-    let mut assigned = equiv
-        .maximal_assignment()
-        .iter()
-        .filter(|a| a.is_some())
-        .count();
+    let mut assignment = Assignment::of(&equiv);
+    let mut cand = assignment.view(PairSide::Kb1, &equiv, &bridge, config, informed);
+    let mut assigned = assignment.assigned();
+    let mut settled = false;
     for iteration in 1..=config.max_iterations {
         if dirty_instances.is_empty() && dirty_rel1.is_empty() && dirty_rel2.is_empty() {
             break;
@@ -287,7 +287,6 @@ pub fn realign_incremental<'a>(
         let mut changed_rows: Vec<(EntityId, Vec<(EntityId, f64)>)> = Vec::new();
         let mut deltas1: Vec<(EntityId, f64)> = Vec::new();
         let mut changed2: paris_kb::FxHashMap<EntityId, f64> = paris_kb::FxHashMap::default();
-        let mut changed = 0usize;
         for (x, row) in partial {
             let old = equiv.candidates(x);
             let delta = row_delta(old, &row);
@@ -295,9 +294,6 @@ pub fn realign_incremental<'a>(
                 for &(z, _) in old.iter().chain(&row) {
                     let w = changed2.entry(z).or_insert(0.0);
                     *w = w.max(delta);
-                }
-                if best_target(old) != best_target(&row) {
-                    changed += 1;
                 }
                 match (old.is_empty(), row.is_empty()) {
                     (true, false) => assigned += 1,
@@ -309,9 +305,14 @@ pub fn realign_incremental<'a>(
             }
         }
         let changed1: Vec<EntityId> = changed_rows.iter().map(|&(x, _)| x).collect();
+        let mut changed = 0;
         if !changed_rows.is_empty() {
             equiv.replace_rows(changed_rows);
-            cand = forward_view(kb1, &equiv, &bridge, config, informed);
+            changed = assignment.refresh(&equiv, &changed1, changed2.keys().copied());
+            for &x in &changed1 {
+                let row = assignment.view_row(PairSide::Kb1, x, &equiv, &bridge, config);
+                cand.set_row(x, row);
+            }
         }
         let instance_seconds = paris_obs::span::seconds_since(t0);
 
@@ -345,7 +346,7 @@ pub fn realign_incremental<'a>(
             subrel.set_row_1to2(r, row);
         }
         if !dirty_rel2.is_empty() {
-            let cand_rev = reverse_view(kb2, &equiv, &bridge, config, informed);
+            let cand_rev = assignment.view(PairSide::Kb2, &equiv, &bridge, config, informed);
             for &r2 in &dirty_rel2 {
                 let row = score_relation(kb2, kb1, &cand_rev, config, r2);
                 if !rows_close(subrel.row_2to1(r2), &row, options.relation_epsilon) {
@@ -374,7 +375,7 @@ pub fn realign_incremental<'a>(
         // short of an *exact* fixpoint — the full run stops on assignment
         // stability too — so sub-threshold drift must not keep the dirty
         // set alive.)
-        let settled = stats.changed_fraction < config.convergence_change
+        settled = stats.changed_fraction < config.convergence_change
             && changed_rel1.is_empty()
             && changed_rel2.is_empty();
         iterations.push(stats);
@@ -423,9 +424,13 @@ pub fn realign_incremental<'a>(
         }
     }
 
+    // Converged: the last iteration settled or left nothing dirty.
+    let converged =
+        settled || (dirty_instances.is_empty() && dirty_rel1.is_empty() && dirty_rel2.is_empty());
+
     // ---- final class pass (same as the full loop's last step) -----------
     let t2 = paris_obs::span::now_ns();
-    let classes = subclass_pass(kb1, kb2, &equiv, config);
+    let classes = subclass_pass(kb1, kb2, &assignment, config);
     let class_seconds = paris_obs::span::seconds_since(t2);
 
     IncrementalRun {
@@ -438,7 +443,7 @@ pub fn realign_incremental<'a>(
             iterations,
             literal_pairs,
             class_seconds,
-            convergence_change_used: config.convergence_change,
+            converged,
             config: config.clone(),
         },
         report,
@@ -515,20 +520,6 @@ fn row_delta(a: &[(EntityId, f64)], b: &[(EntityId, f64)]) -> f64 {
     }
 }
 
-/// The maximal-assignment target of one candidate row (highest
-/// probability; ties break toward the smallest id, matching
-/// [`EquivStore::maximal_assignment`]).
-fn best_target(row: &[(EntityId, f64)]) -> Option<EntityId> {
-    let mut best: Option<(EntityId, f64)> = None;
-    for &(e, p) in row {
-        match best {
-            Some((_, bp)) if p <= bp => {}
-            _ => best = Some((e, p)),
-        }
-    }
-    best.map(|(e, _)| e)
-}
-
 /// Report of one [`update_snapshot`] call.
 #[derive(Clone, Debug, Default)]
 pub struct UpdateReport {
@@ -603,15 +594,10 @@ pub fn update_snapshot(
 
     let run = realign_incremental(&kb1, &kb2, &alignment, &seeds, config, options);
     report.iterations = run.result.iterations.len();
-    report.converged = report.iterations < config.max_iterations;
+    report.converged = run.result.converged();
     report.incremental = run.report.clone();
-    let mut owned = run.result.detach();
+    let owned = run.result.detach();
     drop(run);
-    // `AlignmentResult::converged()` needs > 1 iterations (a cold run's
-    // first iteration is the bootstrap), but a warm restart legitimately
-    // settles in 0 or 1 — persist the warm-start notion of convergence so
-    // `/stats` does not report a fully settled update as unconverged.
-    owned.converged = report.converged;
 
     Ok((AlignedPairSnapshot::new(kb1, kb2, owned), report))
 }

@@ -9,7 +9,9 @@
 //! Functionalities are computed once per ontology up front (they live on
 //! the [`Kb`]); literal equivalences are clamped once up front (the
 //! [`LiteralBridge`]); convergence is declared when fewer than
-//! `convergence_change` of the instances change their maximal assignment.
+//! `convergence_change` of the instances change their maximal assignment
+//! *and* the sum of the assignment scores moved by less than that same
+//! fraction (at least 10⁻⁶) since the previous iteration.
 
 use paris_kb::{EntityId, Kb};
 use paris_obs::series::{score_histogram, IterationPoint, RunSeries};
@@ -17,7 +19,8 @@ use paris_obs::span::{Span, SpanCollector, SpanId};
 use paris_rdf::Iri;
 
 use crate::config::ParisConfig;
-use crate::equiv::{CandidateView, EquivStore};
+use crate::equiv::{argmax, Assignment, CandidateView, EquivStore};
+use crate::image::PairSide;
 use crate::instance::instance_pass;
 use crate::literal_bridge::LiteralBridge;
 use crate::subclass::{subclass_pass, ClassAlignment};
@@ -66,8 +69,9 @@ pub struct AlignmentResult<'a> {
     pub literal_pairs: usize,
     /// Wall-clock seconds of the final class pass.
     pub class_seconds: f64,
-    /// The convergence threshold the run was configured with.
-    pub(crate) convergence_change_used: f64,
+    /// Whether the driver stopped by its convergence rule rather than at
+    /// the iteration cap.
+    pub(crate) converged: bool,
     /// The full configuration of the run (needed to rebuild candidate
     /// views for explanations).
     pub(crate) config: ParisConfig,
@@ -87,12 +91,8 @@ impl AlignmentResult<'_> {
     /// Looks up the maximal assignment of one KB-1 instance by IRI.
     pub fn instance_alignment_by_iri(&self, iri: &str) -> Option<Iri> {
         let x = self.kb1.entity_by_iri(iri)?;
-        let row = self.instances.candidates(x);
-        let best = row
-            .iter()
-            .copied()
-            .reduce(|a, b| if b.1 > a.1 { b } else { a })?;
-        self.kb2.iri(best.0).cloned()
+        let (x2, _) = argmax(self.instances.candidates(x).iter().copied())?;
+        self.kb2.iri(x2).cloned()
     }
 
     /// Explains why the final run scores `iri1 ≡ iri2` (or would): the
@@ -104,7 +104,8 @@ impl AlignmentResult<'_> {
         let x = self.kb1.entity_by_iri(iri1)?;
         let x2 = self.kb2.entity_by_iri(iri2)?;
         let bridge = LiteralBridge::build(self.kb1, self.kb2, &self.config.literal_similarity);
-        let view = forward_view(self.kb1, &self.instances, &bridge, &self.config, true);
+        let assignment = Assignment::of(&self.instances);
+        let view = assignment.view(PairSide::Kb1, &self.instances, &bridge, &self.config, true);
         Some(crate::explain::explain_pair(
             self.kb1,
             self.kb2,
@@ -171,15 +172,11 @@ impl AlignmentResult<'_> {
         out
     }
 
-    /// Convergence: did the run stop because fewer than the configured
-    /// fraction of instances changed their maximal assignment (as opposed
-    /// to hitting the iteration cap)?
+    /// Convergence: did the driver stop by its convergence rule (as
+    /// opposed to hitting the iteration cap)? Recorded by the driver when
+    /// it stops, not re-derived from the iteration rows.
     pub fn converged(&self) -> bool {
-        self.iterations.len() > 1
-            && self
-                .iterations
-                .last()
-                .is_some_and(|s| s.changed_fraction < self.convergence_change_used)
+        self.converged
     }
 }
 
@@ -242,9 +239,12 @@ impl<'a> Aligner<'a> {
         );
         let mut iterations = Vec::new();
         let mut prev_score_sum = 0.0f64;
-        // Whether `equiv`'s probabilities were computed with informed
-        // (non-bootstrap) sub-relation scores — gates Eq. 14.
-        let mut equiv_informed = false;
+        let mut converged = false;
+        // The previous iteration's assignment and the forward view over it
+        // the next instance pass reads (informed, which gates Eq. 14, once
+        // computed from non-bootstrap sub-relation scores).
+        let mut assignment = Assignment::of(&equiv);
+        let mut cand = assignment.view(PairSide::Kb1, &equiv, &bridge, config, false);
 
         for iteration in 1..=config.max_iterations {
             let iter_span = observe.begin("iteration", None).map(|mut s| {
@@ -255,24 +255,19 @@ impl<'a> Aligner<'a> {
             // ---- instance pass (uses the previous iteration's equalities)
             let pass_span = observe.begin("instance_pass", iter_span.as_ref());
             let t0 = paris_obs::span::now_ns();
-            let cand = forward_view(kb1, &equiv, &bridge, config, equiv_informed);
             let mut rows = instance_pass(kb1, kb2, &cand, &subrel, config);
             let damping = config.damping_at(iteration);
             if damping > 0.0 {
                 blend_rows(&mut rows, &equiv, damping, config.truncation);
             }
-            let new_equiv = EquivStore::from_rows(rows, kb2.num_entities());
+            equiv = EquivStore::from_rows(rows, kb2.num_entities());
             let instance_seconds = paris_obs::span::seconds_since(t0);
 
-            let changed = equiv.assignment_changes(&new_equiv);
-            // The previous assignment is only materialized when someone
-            // is watching the series — `run()`'s cost is unchanged.
-            let prev_assignment = observe.series.map(|_| equiv.maximal_assignment());
-            let assignment = new_equiv.maximal_assignment();
-            let assigned = assignment.iter().filter(|a| a.is_some()).count();
-            let score_sum: f64 = assignment.iter().flatten().map(|&(_, p)| p).sum();
-            equiv = new_equiv;
-            equiv_informed = !subrel.is_bootstrap();
+            let next = Assignment::of(&equiv);
+            let changed = next.changes(&assignment);
+            let assigned = next.assigned();
+            let score_sum = next.score_sum();
+            let informed = !subrel.is_bootstrap();
             observe.finish(pass_span, |s| {
                 s.attr_int("dirty", rescored);
                 s.attr_int("changed", changed as u64);
@@ -283,9 +278,9 @@ impl<'a> Aligner<'a> {
             // ---- sub-relation passes (use the fresh equalities)
             let pass_span = observe.begin("subrelation_pass", iter_span.as_ref());
             let t1 = paris_obs::span::now_ns();
-            let cand_fwd = forward_view(kb1, &equiv, &bridge, config, equiv_informed);
-            let one = subrelation_pass(kb1, kb2, &cand_fwd, config);
-            let cand_rev = reverse_view(kb2, &equiv, &bridge, config, equiv_informed);
+            cand = next.view(PairSide::Kb1, &equiv, &bridge, config, informed);
+            let one = subrelation_pass(kb1, kb2, &cand, config);
+            let cand_rev = next.view(PairSide::Kb2, &equiv, &bridge, config, informed);
             let two = subrelation_pass(kb2, kb1, &cand_rev, config);
             subrel = SubrelStore::from_rows(one, two);
             let subrelation_seconds = paris_obs::span::seconds_since(t1);
@@ -303,19 +298,20 @@ impl<'a> Aligner<'a> {
                 instance_seconds,
                 subrelation_seconds,
             };
-            if let (Some(series), Some(prev)) = (observe.series, &prev_assignment) {
+            if let Some(series) = observe.series {
                 series.push(IterationPoint {
                     iteration: stats.iteration,
                     dirty: rescored,
                     changed: stats.changed as u64,
-                    new_pairs: unassigned_in(&assignment, prev),
-                    dropped_pairs: unassigned_in(prev, &assignment),
+                    new_pairs: unassigned_in(&next.fwd, &assignment.fwd),
+                    dropped_pairs: unassigned_in(&assignment.fwd, &next.fwd),
                     assigned: stats.assigned_instances as u64,
-                    scores: score_histogram(assignment.iter().flatten().map(|&(_, p)| p)),
+                    scores: score_histogram(next.fwd.iter().flatten().map(|&(_, p)| p)),
                     instance_us: (stats.instance_seconds * 1e6) as u64,
                     subrelation_us: (stats.subrelation_seconds * 1e6) as u64,
                 });
             }
+            assignment = next;
             // Convergence is the paper's criterion — the maximal
             // assignment stopped changing — strengthened by requiring the
             // assignment *scores* to have stabilized as well: after
@@ -332,7 +328,7 @@ impl<'a> Aligner<'a> {
             // signal (the same quantity convergence watches).
             let score_delta = (score_sum - prev_score_sum).abs() / prev_score_sum.max(1.0);
             prev_score_sum = score_sum;
-            let done = iteration > 1
+            converged = iteration > 1
                 && stats.changed_fraction < config.convergence_change
                 && scores_stable;
             if let Some(progress) = observe.progress.as_mut() {
@@ -343,7 +339,7 @@ impl<'a> Aligner<'a> {
                 s.attr_int("churn", changed as u64);
                 s.attr_f64("score_delta", score_delta);
             });
-            if done {
+            if converged {
                 break;
             }
         }
@@ -351,7 +347,7 @@ impl<'a> Aligner<'a> {
         // ---- final class pass (§5.1: "in a last step")
         let class_span = observe.begin("class_pass", None);
         let t2 = paris_obs::span::now_ns();
-        let classes = subclass_pass(kb1, kb2, &equiv, config);
+        let classes = subclass_pass(kb1, kb2, &assignment, config);
         let class_seconds = paris_obs::span::seconds_since(t2);
         observe.finish(class_span, |s| {
             s.attr_int("classes_kb1", kb1.num_classes() as u64);
@@ -367,7 +363,7 @@ impl<'a> Aligner<'a> {
             iterations,
             literal_pairs,
             class_seconds,
-            convergence_change_used: config.convergence_change,
+            converged,
             config: config.clone(),
         }
     }
@@ -457,76 +453,59 @@ fn blend_rows(
     }
 }
 
-/// KB1 → KB2 candidates: previous instance equalities (maximal assignment
-/// unless `propagate_all_equalities`, §5.2) merged with the literal bridge.
-pub(crate) fn forward_view(
-    kb1: &Kb,
-    equiv: &EquivStore,
-    bridge: &LiteralBridge,
-    config: &ParisConfig,
-    informed: bool,
-) -> CandidateView {
-    let mut rows: Vec<Vec<(EntityId, f64)>> = vec![Vec::new(); kb1.num_entities()];
-    if config.propagate_all_equalities {
-        for x in kb1.entities() {
-            let cands = equiv.candidates(x);
-            if !cands.is_empty() {
-                rows[x.index()] = cands.to_vec();
-            }
-        }
-    } else {
-        for (i, best) in equiv.maximal_assignment().into_iter().enumerate() {
-            if let Some((x2, p)) = best {
-                rows[i].push((x2, p));
-            }
-        }
-    }
-    for l in kb1.literals() {
-        let cands = bridge.candidates(l);
-        if !cands.is_empty() {
-            rows[l.index()] = cands.to_vec();
+impl Assignment {
+    /// The candidate view keyed by `side`'s entities: the previous
+    /// instance equalities (this assignment unless
+    /// `propagate_all_equalities`, §5.2) merged with the literal bridge.
+    pub(crate) fn view(
+        &self,
+        side: PairSide,
+        equiv: &EquivStore,
+        bridge: &LiteralBridge,
+        config: &ParisConfig,
+        informed: bool,
+    ) -> CandidateView {
+        let n = if side == PairSide::Kb1 {
+            self.fwd.len()
+        } else {
+            self.rev.len()
+        };
+        let rows = (0..n)
+            .map(|i| self.view_row(side, EntityId::from_index(i), equiv, bridge, config))
+            .collect();
+        if informed {
+            CandidateView::new(rows)
+        } else {
+            CandidateView::uninformed(rows)
         }
     }
-    if informed {
-        CandidateView::new(rows)
-    } else {
-        CandidateView::uninformed(rows)
-    }
-}
 
-/// KB2 → KB1 candidates (for the reverse sub-relation pass).
-pub(crate) fn reverse_view(
-    kb2: &Kb,
-    equiv: &EquivStore,
-    bridge: &LiteralBridge,
-    config: &ParisConfig,
-    informed: bool,
-) -> CandidateView {
-    let mut rows: Vec<Vec<(EntityId, f64)>> = vec![Vec::new(); kb2.num_entities()];
-    if config.propagate_all_equalities {
-        for x2 in kb2.entities() {
-            let cands = equiv.candidates_rev(x2);
-            if !cands.is_empty() {
-                rows[x2.index()] = cands.to_vec();
-            }
+    /// One row of [`view`](Self::view): a literal's bridge candidates when
+    /// it has any (only literals do), else the stored or assigned ones.
+    pub(crate) fn view_row(
+        &self,
+        side: PairSide,
+        e: EntityId,
+        equiv: &EquivStore,
+        bridge: &LiteralBridge,
+        config: &ParisConfig,
+    ) -> Vec<(EntityId, f64)> {
+        let i = e.index();
+        let (stored, literal, best) = match side {
+            PairSide::Kb1 => (equiv.candidates(e), bridge.candidates(e), self.fwd[i]),
+            PairSide::Kb2 => (
+                equiv.candidates_rev(e),
+                bridge.candidates_rev(e),
+                self.rev[i],
+            ),
+        };
+        if !literal.is_empty() {
+            literal.to_vec()
+        } else if config.propagate_all_equalities {
+            stored.to_vec()
+        } else {
+            best.into_iter().collect()
         }
-    } else {
-        for (i, best) in equiv.maximal_assignment_rev().into_iter().enumerate() {
-            if let Some((x1, p)) = best {
-                rows[i].push((x1, p));
-            }
-        }
-    }
-    for l2 in kb2.literals() {
-        let cands = bridge.candidates_rev(l2);
-        if !cands.is_empty() {
-            rows[l2.index()] = cands.to_vec();
-        }
-    }
-    if informed {
-        CandidateView::new(rows)
-    } else {
-        CandidateView::uninformed(rows)
     }
 }
 

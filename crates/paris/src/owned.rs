@@ -13,7 +13,7 @@
 use paris_kb::{EntityId, Kb};
 use paris_rdf::Iri;
 
-use crate::equiv::EquivStore;
+use crate::equiv::{argmax, EquivStore};
 use crate::iteration::{AlignmentResult, IterationStats};
 use crate::subclass::ClassAlignment;
 use crate::subrel::SubrelStore;
@@ -69,20 +69,12 @@ impl OwnedAlignment {
 
     /// The best KB-2 match of a KB-1 entity, with its probability.
     pub fn best_match(&self, x: EntityId) -> Option<(EntityId, f64)> {
-        self.instances
-            .candidates(x)
-            .iter()
-            .copied()
-            .reduce(|a, b| if b.1 > a.1 { b } else { a })
+        argmax(self.instances.candidates(x).iter().copied())
     }
 
     /// The best KB-1 match of a KB-2 entity, with its probability.
     pub fn best_match_rev(&self, x2: EntityId) -> Option<(EntityId, f64)> {
-        self.instances
-            .candidates_rev(x2)
-            .iter()
-            .copied()
-            .reduce(|a, b| if b.1 > a.1 { b } else { a })
+        argmax(self.instances.candidates_rev(x2).iter().copied())
     }
 
     /// Looks up the maximal assignment of one KB-1 instance by IRI.

@@ -19,7 +19,7 @@
 use paris_kb::{EntityId, FxHashMap, Kb};
 
 use crate::config::ParisConfig;
-use crate::equiv::EquivStore;
+use crate::equiv::Assignment;
 
 /// One directional class-inclusion score.
 #[derive(Clone, Debug, PartialEq)]
@@ -69,14 +69,12 @@ impl ClassAlignment {
 pub fn subclass_pass(
     kb1: &Kb,
     kb2: &Kb,
-    equiv: &EquivStore,
+    assignment: &Assignment,
     config: &ParisConfig,
 ) -> ClassAlignment {
-    let fwd = equiv.maximal_assignment();
-    let rev = equiv.maximal_assignment_rev();
     ClassAlignment {
-        one_to_two: direction(kb1, kb2, &fwd, config),
-        two_to_one: direction(kb2, kb1, &rev, config),
+        one_to_two: direction(kb1, kb2, &assignment.fwd, config),
+        two_to_one: direction(kb2, kb1, &assignment.rev, config),
     }
 }
 
@@ -125,6 +123,7 @@ fn direction(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::equiv::EquivStore;
     use paris_kb::KbBuilder;
 
     /// KB1: 4 singers typed Singer ⊑ Person. KB2: same people typed
@@ -157,7 +156,7 @@ mod tests {
     fn subset_direction_scores_one() {
         let (kb1, kb2) = taxonomy_kbs();
         let equiv = perfect_equiv(&kb1, &kb2, 4);
-        let ca = subclass_pass(&kb1, &kb2, &equiv, &ParisConfig::default());
+        let ca = subclass_pass(&kb1, &kb2, &Assignment::of(&equiv), &ParisConfig::default());
 
         let singer = kb1.entity_by_iri("http://a/Singer").unwrap();
         let musician = kb2.entity_by_iri("http://b/Musician").unwrap();
@@ -183,7 +182,7 @@ mod tests {
     fn superset_direction_scores_fraction() {
         let (kb1, kb2) = taxonomy_kbs();
         let equiv = perfect_equiv(&kb1, &kb2, 4);
-        let ca = subclass_pass(&kb1, &kb2, &equiv, &ParisConfig::default());
+        let ca = subclass_pass(&kb1, &kb2, &Assignment::of(&equiv), &ParisConfig::default());
         let singer = kb1.entity_by_iri("http://a/Singer").unwrap();
         let musician = kb2.entity_by_iri("http://b/Musician").unwrap();
         // Only 4 of 6 musicians are singers: Pr(Musician ⊆ Singer) = 2/3.
@@ -205,7 +204,7 @@ mod tests {
             rows[e1.index()].push((e2, 0.5));
         }
         let equiv = EquivStore::from_rows(rows, kb2.num_entities());
-        let ca = subclass_pass(&kb1, &kb2, &equiv, &ParisConfig::default());
+        let ca = subclass_pass(&kb1, &kb2, &Assignment::of(&equiv), &ParisConfig::default());
         let singer = kb1.entity_by_iri("http://a/Singer").unwrap();
         let musician = kb2.entity_by_iri("http://b/Musician").unwrap();
         let s = ca
@@ -220,7 +219,7 @@ mod tests {
     fn unmatched_members_drag_score_down() {
         let (kb1, kb2) = taxonomy_kbs();
         let equiv = perfect_equiv(&kb1, &kb2, 2); // only s0, s1 matched
-        let ca = subclass_pass(&kb1, &kb2, &equiv, &ParisConfig::default());
+        let ca = subclass_pass(&kb1, &kb2, &Assignment::of(&equiv), &ParisConfig::default());
         let singer = kb1.entity_by_iri("http://a/Singer").unwrap();
         let musician = kb2.entity_by_iri("http://b/Musician").unwrap();
         let s = ca
@@ -239,7 +238,7 @@ mod tests {
             max_pairs: 2,
             ..ParisConfig::default()
         };
-        let ca = subclass_pass(&kb1, &kb2, &equiv, &config);
+        let ca = subclass_pass(&kb1, &kb2, &Assignment::of(&equiv), &config);
         let singer = kb1.entity_by_iri("http://a/Singer").unwrap();
         let s = ca.one_to_two.iter().find(|s| s.sub == singer).unwrap();
         assert_eq!(s.sampled_members, 2);
@@ -249,7 +248,7 @@ mod tests {
     fn empty_equiv_empty_alignment() {
         let (kb1, kb2) = taxonomy_kbs();
         let equiv = EquivStore::new(kb1.num_entities(), kb2.num_entities());
-        let ca = subclass_pass(&kb1, &kb2, &equiv, &ParisConfig::default());
+        let ca = subclass_pass(&kb1, &kb2, &Assignment::of(&equiv), &ParisConfig::default());
         assert!(ca.one_to_two.is_empty());
         assert!(ca.two_to_one.is_empty());
     }
@@ -258,7 +257,7 @@ mod tests {
     fn threshold_filters_and_counts() {
         let (kb1, kb2) = taxonomy_kbs();
         let equiv = perfect_equiv(&kb1, &kb2, 2);
-        let ca = subclass_pass(&kb1, &kb2, &equiv, &ParisConfig::default());
+        let ca = subclass_pass(&kb1, &kb2, &Assignment::of(&equiv), &ParisConfig::default());
         // Singer⊆Musician and Person⊆Musician at 0.5 each.
         assert_eq!(ca.above_1to2(0.4).count(), 2);
         assert_eq!(ca.above_1to2(0.6).count(), 0);

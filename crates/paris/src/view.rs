@@ -25,9 +25,9 @@
 //! equivalence index is stored, not derived — `sameas` from the
 //! right-hand side must not force an O(pairs) rebuild at open.
 //!
-//! [`AlignmentView::best_match`] replicates
-//! [`OwnedAlignment::best_match`] factor for factor (same tie-breaking,
-//! same iteration order), which is what makes an opened image's answers
+//! [`AlignmentView::best_match`] and [`OwnedAlignment::best_match`] feed
+//! the same row, in the same order, to the one tie rule [`argmax`] in
+//! `equiv.rs`, which is what makes an opened image's answers
 //! bit-identical to the heap snapshot it was encoded from.
 
 use std::ops::Range;
@@ -40,7 +40,7 @@ use paris_kb::snapshot_v2::{
 };
 use paris_kb::{EntityId, EntityKind, KbView, RelationId, SnapshotArena};
 
-use crate::equiv::EquivStore;
+use crate::equiv::{argmax, EquivStore};
 use crate::iteration::IterationStats;
 use crate::owned::{AlignedPairSnapshot, OwnedAlignment};
 use crate::subclass::{ClassAlignment, ClassScore};
@@ -441,17 +441,7 @@ impl<'a> AlignmentView<'a> {
         let (start, end) = rows.row_bounds(self.buf, i);
         let targets = &self.buf[rows.targets.clone()];
         let probs = &self.buf[rows.probs.clone()];
-        // Same fold as OwnedAlignment::best_match: strict `>` keeps the
-        // earliest (smallest-id) candidate on ties.
-        let mut best: Option<(EntityId, f64)> = None;
-        for j in start..end {
-            let p = le_f64(probs, j);
-            match best {
-                Some((_, bp)) if p <= bp => {}
-                _ => best = Some((EntityId(le_u32(targets, j)), p)),
-            }
-        }
-        best
+        argmax((start..end).map(|j| (EntityId(le_u32(targets, j)), le_f64(probs, j))))
     }
 
     fn row_in(&self, rows: &RowsLayout, i: usize) -> Vec<(EntityId, f64)> {
@@ -779,7 +769,18 @@ mod tests {
 
     #[test]
     fn v2_pair_answers_are_bit_identical_to_the_heap_snapshot() {
-        let snap = aligned_pair_snapshot();
+        let mut snap = aligned_pair_snapshot();
+        // Beside the aligned rows: a NaN ahead of a real score, and an
+        // exact tie. Both paths answer them by the one rule of `argmax`.
+        let nan = snap.kb1.entity_by_iri("http://a/p0").unwrap();
+        let tie = snap.kb1.entity_by_iri("http://a/p1").unwrap();
+        let (lo, hi) = (EntityId(0), EntityId(2));
+        snap.alignment.instances.replace_rows([
+            (nan, vec![(lo, f64::NAN), (hi, 0.5)]),
+            (tie, vec![(lo, 0.5), (hi, 0.5)]),
+        ]);
+        assert_eq!(snap.alignment.best_match(nan), Some((hi, 0.5)));
+        assert_eq!(snap.alignment.best_match(tie), Some((lo, 0.5)));
         let mapped = MappedPairSnapshot::from_bytes(MappedPairSnapshot::encode(&snap)).unwrap();
 
         // sameas, both directions, every entity.

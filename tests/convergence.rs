@@ -143,3 +143,25 @@ fn damping_zero_is_identity() {
     assert_eq!(a.instances.num_pairs(), b.instances.num_pairs());
     assert_eq!(a.iterations.len(), b.iterations.len());
 }
+
+#[test]
+fn a_run_stopped_by_the_cap_is_not_converged() {
+    // `converged()` is the driver's recorded stop, not a re-derivation
+    // from the last iteration's churn: a run the cap cuts short of the
+    // score-stability test reports `false` even when its last iteration
+    // moved almost no assignment.
+    let pair = persons::generate(&PersonsConfig {
+        num_persons: 500,
+        extra_1: 125,
+        extra_2: 125,
+        seed: 1,
+    });
+    let full = Aligner::new(&pair.kb1, &pair.kb2, ParisConfig::default()).run();
+    assert!(full.converged());
+    let stop = full.iterations.len();
+    for cap in 1..=stop {
+        let config = ParisConfig::default().with_max_iterations(cap);
+        let capped = Aligner::new(&pair.kb1, &pair.kb2, config).run();
+        assert_eq!(capped.converged(), cap == stop, "cap {cap}, stop {stop}");
+    }
+}

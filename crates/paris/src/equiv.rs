@@ -9,6 +9,10 @@
 
 use paris_kb::{EntityId, FxHashMap};
 
+use crate::config::ParisConfig;
+use crate::image::PairSide;
+use crate::literal_bridge::LiteralBridge;
+
 /// One candidate row per source entity: `(target entity, probability)`
 /// pairs, sorted by entity id. The common currency between the passes.
 pub type CandidateRows = Vec<Vec<(EntityId, f64)>>;
@@ -140,11 +144,12 @@ impl EquivStore {
     /// The maximal assignment (§4.2): for each KB-1 entity, the KB-2
     /// candidate with the maximum score, by [`argmax`].
     pub fn maximal_assignment(&self) -> Vec<Option<(EntityId, f64)>> {
-        self.forward
-            .iter()
-            .map(|row| argmax(row.iter().copied()))
-            .collect()
+        best_per_row(&self.forward)
     }
+}
+
+fn best_per_row(rows: &[Vec<(EntityId, f64)>]) -> Vec<Option<(EntityId, f64)>> {
+    rows.iter().map(|row| argmax(row.iter().copied())).collect()
 }
 
 /// The workspace's one tie rule: a row's highest probability, its earliest
@@ -177,12 +182,8 @@ impl Assignment {
     /// The maximal assignment of `store`, both directions.
     pub fn of(store: &EquivStore) -> Assignment {
         Assignment {
-            fwd: store.maximal_assignment(),
-            rev: store
-                .backward
-                .iter()
-                .map(|row| argmax(row.iter().copied()))
-                .collect(),
+            fwd: best_per_row(&store.forward),
+            rev: best_per_row(&store.backward),
         }
     }
 
@@ -207,23 +208,74 @@ impl Assignment {
     }
 
     /// Re-derives the KB-1 rows `xs` and KB-2 rows `zs` that
-    /// [`EquivStore::replace_rows`] moved; returns how many `xs` changed.
+    /// [`EquivStore::replace_rows`] moved; returns how many `xs` changed
+    /// target and the change in [`assigned`](Self::assigned).
     pub fn refresh(
         &mut self,
         store: &EquivStore,
         xs: &[EntityId],
         zs: impl IntoIterator<Item = EntityId>,
-    ) -> usize {
-        let mut changed = 0;
+    ) -> (usize, isize) {
+        let (mut changed, mut assigned) = (0, 0);
         for &x in xs {
             let best = argmax(store.candidates(x).iter().copied());
-            changed += usize::from(best.map(|b| b.0) != self.fwd[x.index()].map(|b| b.0));
-            self.fwd[x.index()] = best;
+            let old = std::mem::replace(&mut self.fwd[x.index()], best);
+            changed += usize::from(best.map(|b| b.0) != old.map(|b| b.0));
+            assigned += best.is_some() as isize - old.is_some() as isize;
         }
         for z in zs {
             self.rev[z.index()] = argmax(store.candidates_rev(z).iter().copied());
         }
-        changed
+        (changed, assigned)
+    }
+
+    /// The candidate view keyed by `side`'s entities: the previous
+    /// instance equalities (this assignment unless
+    /// `propagate_all_equalities`, §5.2) merged with the literal bridge.
+    pub(crate) fn view(
+        &self,
+        side: PairSide,
+        equiv: &EquivStore,
+        bridge: &LiteralBridge,
+        config: &ParisConfig,
+        informed: bool,
+    ) -> CandidateView {
+        let n = match side {
+            PairSide::Kb1 => self.fwd.len(),
+            PairSide::Kb2 => self.rev.len(),
+        };
+        let rows = (0..n)
+            .map(|i| self.view_row(side, EntityId::from_index(i), equiv, bridge, config))
+            .collect();
+        CandidateView { rows, informed }
+    }
+
+    /// One row of [`view`](Self::view): a literal's bridge candidates when
+    /// it has any (only literals do), else the stored or assigned ones.
+    pub(crate) fn view_row(
+        &self,
+        side: PairSide,
+        e: EntityId,
+        equiv: &EquivStore,
+        bridge: &LiteralBridge,
+        config: &ParisConfig,
+    ) -> Vec<(EntityId, f64)> {
+        let i = e.index();
+        let (stored, literal, best) = match side {
+            PairSide::Kb1 => (equiv.candidates(e), bridge.candidates(e), self.fwd[i]),
+            PairSide::Kb2 => (
+                equiv.candidates_rev(e),
+                bridge.candidates_rev(e),
+                self.rev[i],
+            ),
+        };
+        if !literal.is_empty() {
+            literal.to_vec()
+        } else if config.propagate_all_equalities {
+            stored.to_vec()
+        } else {
+            best.into_iter().collect()
+        }
     }
 }
 
@@ -389,18 +441,33 @@ mod tests {
 
     #[test]
     fn refresh_matches_a_fresh_assignment() {
-        let rows = vec![vec![(e(1), 0.9), (e(0), 0.3)], vec![], vec![(e(1), 0.5)]];
+        let rows = vec![
+            vec![(e(1), 0.9), (e(0), 0.3)],
+            vec![],
+            vec![(e(1), 0.5)],
+            vec![(e(0), 0.4)],
+        ];
         let mut s = EquivStore::from_rows(rows, 3);
         let mut a = Assignment::of(&s);
-        let changes = vec![(e(0), vec![(e(2), 0.95)]), (e(1), vec![(e(1), 0.6)])];
+        // Retarget one row, fill an empty one, leave one with only a NaN
+        // entry (stored, but not assigned), and clear one.
+        let changes = vec![
+            (e(0), vec![(e(2), 0.95)]),
+            (e(1), vec![(e(1), 0.6)]),
+            (e(2), vec![(e(0), f64::NAN)]),
+            (e(3), vec![]),
+        ];
         let touched: Vec<EntityId> = changes
             .iter()
             .flat_map(|(x, row)| s.candidates(*x).iter().chain(row).map(|&(z, _)| z))
             .collect();
         let xs: Vec<EntityId> = changes.iter().map(|&(x, _)| x).collect();
         s.replace_rows(changes);
-        assert_eq!(a.refresh(&s, &xs, touched), 2);
+        let before = a.assigned();
+        let moved = a.refresh(&s, &xs, touched);
         let fresh = Assignment::of(&s);
+        assert_eq!(moved, (4, -1));
+        assert_eq!(before - 1, fresh.assigned());
         assert_eq!((a.fwd, a.rev), (fresh.fwd, fresh.rev));
     }
 

@@ -37,7 +37,7 @@ use paris_kb::delta::{apply_owned, AppliedDelta, DeltaError, KbDelta};
 use paris_kb::{EntityId, EntityKind, FxHashSet, Kb, RelationId};
 
 use crate::config::ParisConfig;
-use crate::equiv::Assignment;
+use crate::equiv::{Assignment, CandidateView};
 use crate::image::PairSide;
 use crate::instance::instance_pass_subset;
 use crate::iteration::{AlignmentResult, IterationStats};
@@ -256,15 +256,16 @@ pub fn realign_incremental<'a>(
     };
 
     // ---- the warm fixpoint loop ----------------------------------------
-    // The maximal assignment and the forward candidate view over it are
-    // carried across iterations and re-derived only at the rows that
-    // moved; the reverse view (for the KB-2 sub-relation direction) is
-    // built only in iterations that rescore a KB-2 relation; the
-    // assigned-instance count is maintained from the changed rows alone.
-    // This keeps a settling iteration at O(dirty), not O(KB).
+    // The maximal assignment, the assigned-instance count and the
+    // candidate views over it are carried across iterations and
+    // re-derived only at the rows that moved. The reverse view (for the
+    // KB-2 sub-relation direction) is built once, in the first iteration
+    // that rescores a KB-2 relation, and kept current from then on. This
+    // keeps a settling iteration at O(dirty), not O(KB).
     let mut iterations: Vec<IterationStats> = Vec::new();
     let mut assignment = Assignment::of(&equiv);
     let mut cand = assignment.view(PairSide::Kb1, &equiv, &bridge, config, informed);
+    let mut cand_rev: Option<CandidateView> = None;
     let mut assigned = assignment.assigned();
     let mut settled = false;
     for iteration in 1..=config.max_iterations {
@@ -281,9 +282,9 @@ pub fn realign_incremental<'a>(
 
         // Keep only materially changed rows: a sub-epsilon move keeps the
         // stored score (the error is bounded by `instance_epsilon`), and
-        // a change-free pass then skips the store and view rebuilds
-        // entirely. Each change is remembered with its magnitude — the
-        // relation-dirtying bound below weighs by it.
+        // a change-free pass then leaves the store, the assignment and
+        // the views untouched. Each change is remembered with its
+        // magnitude — the relation-dirtying bound below weighs by it.
         let mut changed_rows: Vec<(EntityId, Vec<(EntityId, f64)>)> = Vec::new();
         let mut deltas1: Vec<(EntityId, f64)> = Vec::new();
         let mut changed2: paris_kb::FxHashMap<EntityId, f64> = paris_kb::FxHashMap::default();
@@ -295,23 +296,22 @@ pub fn realign_incremental<'a>(
                     let w = changed2.entry(z).or_insert(0.0);
                     *w = w.max(delta);
                 }
-                match (old.is_empty(), row.is_empty()) {
-                    (true, false) => assigned += 1,
-                    (false, true) => assigned -= 1,
-                    _ => {}
-                }
                 deltas1.push((x, delta));
                 changed_rows.push((x, row));
             }
         }
         let changed1: Vec<EntityId> = changed_rows.iter().map(|&(x, _)| x).collect();
-        let mut changed = 0;
-        if !changed_rows.is_empty() {
-            equiv.replace_rows(changed_rows);
-            changed = assignment.refresh(&equiv, &changed1, changed2.keys().copied());
-            for &x in &changed1 {
-                let row = assignment.view_row(PairSide::Kb1, x, &equiv, &bridge, config);
-                cand.set_row(x, row);
+        equiv.replace_rows(changed_rows);
+        let (changed, moved) = assignment.refresh(&equiv, &changed1, changed2.keys().copied());
+        assigned = assigned.saturating_add_signed(moved);
+        for &x in &changed1 {
+            let row = assignment.view_row(PairSide::Kb1, x, &equiv, &bridge, config);
+            cand.set_row(x, row);
+        }
+        if let Some(cand_rev) = &mut cand_rev {
+            for &z in changed2.keys() {
+                let row = assignment.view_row(PairSide::Kb2, z, &equiv, &bridge, config);
+                cand_rev.set_row(z, row);
             }
         }
         let instance_seconds = paris_obs::span::seconds_since(t0);
@@ -346,9 +346,11 @@ pub fn realign_incremental<'a>(
             subrel.set_row_1to2(r, row);
         }
         if !dirty_rel2.is_empty() {
-            let cand_rev = assignment.view(PairSide::Kb2, &equiv, &bridge, config, informed);
+            let cand_rev = cand_rev.get_or_insert_with(|| {
+                assignment.view(PairSide::Kb2, &equiv, &bridge, config, informed)
+            });
             for &r2 in &dirty_rel2 {
-                let row = score_relation(kb2, kb1, &cand_rev, config, r2);
+                let row = score_relation(kb2, kb1, cand_rev, config, r2);
                 if !rows_close(subrel.row_2to1(r2), &row, options.relation_epsilon) {
                     changed_rel2.push(r2);
                 }

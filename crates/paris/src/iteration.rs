@@ -19,7 +19,7 @@ use paris_obs::span::{Span, SpanCollector, SpanId};
 use paris_rdf::Iri;
 
 use crate::config::ParisConfig;
-use crate::equiv::{argmax, Assignment, CandidateView, EquivStore};
+use crate::equiv::{argmax, Assignment, EquivStore};
 use crate::image::PairSide;
 use crate::instance::instance_pass;
 use crate::literal_bridge::LiteralBridge;
@@ -450,62 +450,6 @@ fn blend_rows(
                 .map(|(&e, &p)| (e, p)),
         );
         row.sort_unstable_by_key(|&(e, _)| e);
-    }
-}
-
-impl Assignment {
-    /// The candidate view keyed by `side`'s entities: the previous
-    /// instance equalities (this assignment unless
-    /// `propagate_all_equalities`, §5.2) merged with the literal bridge.
-    pub(crate) fn view(
-        &self,
-        side: PairSide,
-        equiv: &EquivStore,
-        bridge: &LiteralBridge,
-        config: &ParisConfig,
-        informed: bool,
-    ) -> CandidateView {
-        let n = if side == PairSide::Kb1 {
-            self.fwd.len()
-        } else {
-            self.rev.len()
-        };
-        let rows = (0..n)
-            .map(|i| self.view_row(side, EntityId::from_index(i), equiv, bridge, config))
-            .collect();
-        if informed {
-            CandidateView::new(rows)
-        } else {
-            CandidateView::uninformed(rows)
-        }
-    }
-
-    /// One row of [`view`](Self::view): a literal's bridge candidates when
-    /// it has any (only literals do), else the stored or assigned ones.
-    pub(crate) fn view_row(
-        &self,
-        side: PairSide,
-        e: EntityId,
-        equiv: &EquivStore,
-        bridge: &LiteralBridge,
-        config: &ParisConfig,
-    ) -> Vec<(EntityId, f64)> {
-        let i = e.index();
-        let (stored, literal, best) = match side {
-            PairSide::Kb1 => (equiv.candidates(e), bridge.candidates(e), self.fwd[i]),
-            PairSide::Kb2 => (
-                equiv.candidates_rev(e),
-                bridge.candidates_rev(e),
-                self.rev[i],
-            ),
-        };
-        if !literal.is_empty() {
-            literal.to_vec()
-        } else if config.propagate_all_equalities {
-            stored.to_vec()
-        } else {
-            best.into_iter().collect()
-        }
     }
 }
 

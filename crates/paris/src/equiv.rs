@@ -471,6 +471,62 @@ mod tests {
         assert_eq!((a.fwd, a.rev), (fresh.fwd, fresh.rev));
     }
 
+    /// The update driver's upkeep: after `refresh`, re-deriving the view
+    /// rows of the changed KB-1 rows and of the KB-2 rows they touched
+    /// gives both views exactly as a rebuild from a fresh assignment.
+    #[test]
+    fn views_kept_at_changed_rows_match_a_full_rebuild() {
+        use paris_kb::KbBuilder;
+        use paris_rdf::Literal;
+        let (mut b1, mut b2) = (KbBuilder::new("a"), KbBuilder::new("b"));
+        for i in 0..4 {
+            let name = Literal::plain(format!("n{}", i % 2));
+            b1.add_literal_fact(format!("http://a/s{i}"), "http://a/name", name.clone());
+            b2.add_literal_fact(format!("http://b/s{i}"), "http://b/name", name);
+        }
+        let (kb1, kb2) = (b1.build(), b2.build());
+        let bridge = LiteralBridge::build(&kb1, &kb2, &ParisConfig::default().literal_similarity);
+        let s1 = |i: usize| kb1.entity_by_iri(&format!("http://a/s{i}")).unwrap();
+        let s2 = |i: usize| kb2.entity_by_iri(&format!("http://b/s{i}")).unwrap();
+        let mut rows = vec![Vec::new(); kb1.num_entities()];
+        for i in 0..4 {
+            rows[s1(i).index()] = vec![(s2(i), 0.8), (s2(3 - i), 0.4)];
+        }
+        let changes = vec![
+            (s1(0), vec![(s2(3), 0.9)]),
+            (s1(1), vec![]),
+            (s1(2), vec![(s2(2), 0.8), (s2(1), 0.8)]),
+        ];
+        for propagate_all_equalities in [false, true] {
+            let config = ParisConfig {
+                propagate_all_equalities,
+                ..ParisConfig::default()
+            };
+            let mut s = EquivStore::from_rows(rows.clone(), kb2.num_entities());
+            let mut a = Assignment::of(&s);
+            let mut views = [PairSide::Kb1, PairSide::Kb2]
+                .map(|side| (side, a.view(side, &s, &bridge, &config, true)));
+            let xs: Vec<EntityId> = changes.iter().map(|&(x, _)| x).collect();
+            let zs: Vec<EntityId> = changes
+                .iter()
+                .flat_map(|(x, row)| s.candidates(*x).iter().chain(row).map(|&(z, _)| z))
+                .collect();
+            s.replace_rows(changes.clone());
+            a.refresh(&s, &xs, zs.iter().copied());
+            for (side, view) in &mut views {
+                let kept = if *side == PairSide::Kb1 { &xs } else { &zs };
+                for &e in kept {
+                    view.set_row(e, a.view_row(*side, e, &s, &bridge, &config));
+                }
+                let full = Assignment::of(&s).view(*side, &s, &bridge, &config, true);
+                for i in 0..full.len() {
+                    let e = EntityId::from_index(i);
+                    assert_eq!(view.candidates(e), full.candidates(e), "{side:?} row {i}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn replace_rows_matches_full_rebuild() {
         let rows = vec![vec![(e(1), 0.9), (e(0), 0.3)], vec![], vec![(e(1), 0.5)]];

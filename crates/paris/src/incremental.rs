@@ -259,9 +259,9 @@ pub fn realign_incremental<'a>(
     // The maximal assignment, the assigned-instance count and the
     // candidate views over it are carried across iterations and
     // re-derived only at the rows that moved. The reverse view (for the
-    // KB-2 sub-relation direction) is built once, in the first iteration
-    // that rescores a KB-2 relation, and kept current from then on. This
-    // keeps a settling iteration at O(dirty), not O(KB).
+    // KB-2 sub-relation direction) is built whole, O(KB-2), once: in the
+    // first iteration that rescores a KB-2 relation; it is kept current
+    // from then on. Every other iteration is O(dirty), not O(KB).
     let mut iterations: Vec<IterationStats> = Vec::new();
     let mut assignment = Assignment::of(&equiv);
     let mut cand = assignment.view(PairSide::Kb1, &equiv, &bridge, config, informed);
